@@ -6,14 +6,17 @@
 //! ```
 //!
 //! One closed-loop client on the main thread runs one op at a time for
-//! `S` seconds after set-up. With `--trace 0` it prints the end-to-end
-//! metrics; with `--trace 1` it alternates untraced and traced runs of
-//! the same op, prints the per-layer metrics from the traced ones, and
-//! writes the traced spans to `DIR/spans-NAME.json`. The last line of
-//! stdout is the result object.
+//! `S` seconds after set-up, taking a host-speed reading (`speed`)
+//! before each op. With `--trace 0` it prints the end-to-end metrics,
+//! every time rescaled to the reference host; with `--trace 1` it
+//! alternates untraced and traced runs of the same op, prints the
+//! per-layer metrics from the traced ones, and writes the traced spans
+//! to `DIR/spans-NAME.json`. The last line of stdout is the result
+//! object.
 
 mod sink;
 mod spans;
+mod speed;
 mod stats;
 mod sys;
 mod workloads;
@@ -30,7 +33,10 @@ use workloads::{Bench, Checker, OpOut, Output, Workload};
 static ALLOC: netaware_obs::alloc::CountingAlloc = netaware_obs::alloc::CountingAlloc;
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+const SETUPS: usize = 3;
+
+/// Host-speed readings taken between set-ups.
+const SETUP_READINGS: usize = 3;
 
 struct Args {
     workload: Workload,
@@ -79,24 +85,59 @@ fn parse_args() -> Result<Args, String> {
 }
 
 /// Per-op samples of one kind of op (untraced or traced).
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Samples {
+    /// Index of each op's host-speed reading.
+    reading: Vec<usize>,
     wall_s: Vec<f64>,
-    cpu_s: f64,
+    cpu_s: Vec<f64>,
     sim_s: f64,
     records: u64,
 }
 
 impl Samples {
-    fn add(&mut self, wall: Duration, cpu_ns: u64, out: &OpOut) {
+    fn add(&mut self, reading: usize, wall: Duration, cpu_ns: u64, out: &OpOut) {
+        self.reading.push(reading);
         self.wall_s.push(wall.as_secs_f64());
-        self.cpu_s += cpu_ns as f64 / 1e9;
+        self.cpu_s.push(cpu_ns as f64 / 1e9);
         self.sim_s += out.sim_s;
         self.records += out.records;
     }
 
+    /// The same samples with each op's wall and CPU time rescaled to the
+    /// reference host by the factor of its reading.
+    fn rescaled(&self, factors: &[f64]) -> Samples {
+        let scale = |v: &[f64]| -> Vec<f64> {
+            v.iter()
+                .zip(&self.reading)
+                .map(|(t, &r)| t * factors[r])
+                .collect()
+        };
+        Samples {
+            wall_s: scale(&self.wall_s),
+            cpu_s: scale(&self.cpu_s),
+            ..self.clone()
+        }
+    }
+
     fn total_wall_s(&self) -> f64 {
         self.wall_s.iter().sum()
+    }
+
+    /// The end-to-end metrics these samples give, `setup_s` and the peak
+    /// resident set aside.
+    fn end_to_end(&self, setup_s: f64, peak_rss_mb: f64) -> Vec<(&'static str, f64, &'static str)> {
+        let wall = self.total_wall_s();
+        let n = self.wall_s.len() as f64;
+        vec![
+            ("setup_s", setup_s, "s"),
+            ("op_s.p50", self.p(50.0), "s"),
+            ("op_s.p90", self.p(90.0), "s"),
+            ("sim_s_per_wall_s", self.sim_s / wall, "s/s"),
+            ("records_per_s", self.records as f64 / wall, "1/s"),
+            ("cpu_s_per_op", self.cpu_s.iter().sum::<f64>() / n, "s"),
+            ("peak_rss_mb", peak_rss_mb, "MiB"),
+        ]
     }
 
     fn p(&self, pct: f64) -> f64 {
@@ -316,15 +357,24 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("creating {}: {e}", args.out.display()))?;
     let scratch = args.out.join(format!("scratch-{name}"));
 
-    // Set-up, several times: the last one is kept, the median reported.
+    // Set-up, several times: the last one is kept, the median reported,
+    // each rescaled by the host-speed readings taken just before and
+    // just after it.
     let mut setup_s = Vec::new();
+    let mut setup_raw_s = Vec::new();
     let mut set_up = None;
+    let mut before = speed::readings(SETUP_READINGS);
     for _ in 0..SETUPS {
         drop(set_up.take());
         let mut checker = Checker::default();
         let t = Instant::now();
         let bench = Bench::setup(args.workload, args.seed, &scratch, &mut checker)?;
-        setup_s.push(t.elapsed().as_secs_f64());
+        let wall = t.elapsed().as_secs_f64();
+        let after = speed::readings(SETUP_READINGS);
+        let around = [before, after.clone()].concat();
+        setup_raw_s.push(wall);
+        setup_s.push(wall * speed::NOMINAL_S / median(&around));
+        before = after;
         set_up = Some((bench, checker));
     }
     let (bench, mut checker) = set_up.ok_or("no set-up ran")?;
@@ -333,6 +383,7 @@ fn run() -> Result<(), String> {
     // then traced (odd i), so both sides see the same op mix.
     let mut plain = Samples::default();
     let mut traced = Samples::default();
+    let mut readings = Vec::new();
     let mut rec_off = Recorder::off();
     let mut rec_on = Recorder::on();
     let mut counts = Counts::default();
@@ -348,6 +399,8 @@ fn run() -> Result<(), String> {
         let op = if args.trace { i / 2 } else { i };
         i += 1;
         let rec = if tracing { &mut rec_on } else { &mut rec_off };
+        let reading = readings.len();
+        readings.push(speed::reading());
         let cpu0 = sys::process_cpu_ns();
         let t0 = Instant::now();
         let res = catch_unwind(AssertUnwindSafe(|| bench.op(op, rec)));
@@ -373,12 +426,12 @@ fn run() -> Result<(), String> {
             continue;
         }
         if tracing {
-            traced.add(wall, cpu, &out);
+            traced.add(reading, wall, cpu, &out);
             let c = Counts::of(&out);
             counts.add(&c);
             distinct.entry(out.key.clone()).or_insert(c);
         } else {
-            plain.add(wall, cpu, &out);
+            plain.add(reading, wall, cpu, &out);
         }
     }
     let peak_rss_kib = sys::peak_rss_kib().map_err(|e| format!("reading peak RSS: {e}"))?;
@@ -387,9 +440,13 @@ fn run() -> Result<(), String> {
             "no op succeeded ({attempted} attempted, {failed} failed)"
         ));
     }
+    let factors = speed::factors(&readings);
+    let peak_rss_mb = peak_rss_kib as f64 / 1024.0;
+    let unadjusted = metrics_json(&plain.end_to_end(median(&setup_raw_s), peak_rss_mb));
+    let (plain, traced) = (plain.rescaled(&factors), traced.rescaled(&factors));
 
     let meta = format!(
-        "{{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"nproc\": {}, \"rustc\": {}, \"commit\": {}, \"source_digest\": {}, \"setup_runs\": {}, \"distinct_inputs\": {}, \"ops_untraced\": {}, \"ops_traced\": {}, \"percentile_samples\": {}, \"attempted\": {attempted}, \"failed\": {failed}, \"error_rate\": {:?}}}",
+        "{{\"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \"nproc\": {}, \"rustc\": {}, \"commit\": {}, \"source_digest\": {}, \"setup_runs\": {}, \"distinct_inputs\": {}, \"ops_untraced\": {}, \"ops_traced\": {}, \"percentile_samples\": {}, \"attempted\": {attempted}, \"failed\": {failed}, \"error_rate\": {:?}, \"reference_nominal_s\": {:?}, \"reference_s\": {:?}, \"unadjusted\": {unadjusted}}}",
         js(name),
         args.seed,
         args.seconds,
@@ -404,6 +461,8 @@ fn run() -> Result<(), String> {
         traced.wall_s.len(),
         plain.wall_s.len(),
         failed as f64 / attempted as f64,
+        speed::NOMINAL_S,
+        median(&readings),
     );
 
     let metrics = if args.trace {
@@ -417,17 +476,7 @@ fn run() -> Result<(), String> {
         let overhead = traced.p(50.0) / plain.p(50.0) - 1.0;
         metrics_json(&layer_metrics(&totals, &counts, &distinct, overhead))
     } else {
-        let wall = plain.total_wall_s();
-        let n = plain.wall_s.len() as f64;
-        metrics_json(&[
-            ("setup_s", median(&setup_s), "s"),
-            ("op_s.p50", plain.p(50.0), "s"),
-            ("op_s.p90", plain.p(90.0), "s"),
-            ("sim_s_per_wall_s", plain.sim_s / wall, "s/s"),
-            ("records_per_s", plain.records as f64 / wall, "1/s"),
-            ("cpu_s_per_op", plain.cpu_s / n, "s"),
-            ("peak_rss_mb", peak_rss_kib as f64 / 1024.0, "MiB"),
-        ])
+        metrics_json(&plain.end_to_end(median(&setup_s), peak_rss_mb))
     };
     drop(bench);
     let _ = std::fs::remove_dir_all(&scratch);

@@ -101,6 +101,11 @@ const PULL_CYCLES: usize = 16;
 /// Passes over the app list in the `churn_spill` rotation.
 const CHURN_CYCLES: usize = 12;
 
+/// Capture seeds per app in `corpus_reanalysis`. A corpus's size
+/// depends on its seed (PPLive: 2.9–3.5 M records), so each run analyses
+/// corpora of more than one seed.
+const CORPUS_SEEDS: u64 = 2;
+
 /// Warm-up ops per set-up: one per app of a rotation, so `setup_s` does
 /// not hang on the cost of a single input.
 const WARM_UP_OPS: u64 = 3;
@@ -470,16 +475,17 @@ fn reanalysis_op(corpus: &Corpus, rec: &mut Recorder) -> Result<OpOut, String> {
     })
 }
 
-/// Captures one corpus per paper app to `scratch/<app>/`, plus the
-/// in-memory analysis of each capture as read back from disk.
+/// Captures [`CORPUS_SEEDS`] corpora per paper app to
+/// `scratch/<app>-<k>/`, plus the in-memory analysis of each capture as
+/// read back from disk. Consecutive corpora change app.
 fn capture_corpora(seed: u64, size: Size, scratch: &Path) -> Result<Vec<Corpus>, String> {
-    let seed = op_seed(seed, 0);
     let mut rec = Recorder::off();
-    AppProfile::paper_apps()
-        .into_iter()
-        .map(|profile| {
+    (0..CORPUS_SEEDS)
+        .flat_map(|k| AppProfile::paper_apps().into_iter().map(move |p| (k, p)))
+        .map(|(k, profile)| {
+            let seed = op_seed(seed, k);
             let input = Input { profile, seed };
-            let dir = scratch.join(input.profile.name.to_lowercase());
+            let dir = scratch.join(format!("{}-{k}", input.profile.name.to_lowercase()));
             let scenario = build(&mut rec, seed, size, &input.profile);
             let swarm = new_swarm(&mut rec, &scenario, &input, size, &FaultPlan::none());
             let sink = CorpusSink::create(&dir).map_err(trace_err)?;
