@@ -154,10 +154,10 @@ impl Obs {
     }
 
     /// A handle sharing this one's filter, metrics registry, profiler
-    /// and clock, but writing events to `sink` instead. This is how
-    /// shard workers observe into per-shard buffers while metric
-    /// updates and profiler spans land in the shared collectors (both
-    /// are commutative, so sharding never changes the merged totals).
+    /// and clock, but writing events to `sink` instead. This is how the
+    /// swarm dispatcher routes its events into a tagging buffer while
+    /// metric updates and profiler spans still land in the shared
+    /// collectors.
     /// Forking a disabled handle yields a disabled handle.
     pub fn fork(&self, sink: Arc<dyn EventSink>) -> Obs {
         match &self.inner {
@@ -416,15 +416,15 @@ mod tests {
     #[test]
     fn fork_shares_metrics_but_not_the_sink() {
         let main_sink = Arc::new(NullSink::new());
-        let shard_sink = Arc::new(NullSink::new());
+        let fork_sink = Arc::new(NullSink::new());
         let obs = Obs::new(main_sink.clone());
-        let forked = obs.fork(shard_sink.clone());
+        let forked = obs.fork(fork_sink.clone());
         forked.counter("shared").add(5);
         assert_eq!(obs.metrics().expect("enabled").counters["shared"], 5);
         event!(forked, Level::Info, "swarm.handshake", SimTime::ZERO);
         assert_eq!(main_sink.events_seen(), 0);
-        assert_eq!(shard_sink.events_seen(), 1);
-        assert!(!Obs::disabled().fork(shard_sink).is_enabled());
+        assert_eq!(fork_sink.events_seen(), 1);
+        assert!(!Obs::disabled().fork(fork_sink).is_enabled());
     }
 
     #[test]
@@ -433,11 +433,11 @@ mod tests {
         let forked = obs.fork(Arc::new(NullSink::new()));
         assert!(forked.profiling());
         {
-            let _s = forked.pspan("shard.window");
+            let _s = forked.pspan("swarm.dispatch");
         }
         let tree = obs.profile_tree().expect("profiling");
         assert!(
-            tree.children.iter().any(|c| c.name == "shard.window"),
+            tree.children.iter().any(|c| c.name == "swarm.dispatch"),
             "forked span must land in the parent's tree"
         );
     }

@@ -121,8 +121,8 @@ pub struct Profiler {
 
 impl Clone for Profiler {
     /// Clones share the tree: spans recorded through the clone land in
-    /// the same nodes (same-named children merge), which is what lets
-    /// shard worker threads profile into one merged report.
+    /// the same nodes (same-named children merge), so forked obs
+    /// handles and worker threads profile into one merged report.
     fn clone(&self) -> Profiler {
         Profiler {
             clock: Arc::clone(&self.clock),

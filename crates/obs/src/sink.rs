@@ -182,10 +182,8 @@ impl Default for Filter {
 
 /// An event captured by a [`ShardBufferSink`], tagged with the canonical
 /// scheduler key of the event handling that emitted it. Sorting tagged
-/// events from all shards by `(time_us, origin, oseq, idx)` reproduces
-/// the exact emission order of a single-threaded run, because that key
-/// *is* the global dispatch order and `idx` numbers the emissions within
-/// one handling.
+/// events by `(time_us, origin, oseq, idx)` orders them by dispatch
+/// key; `idx` numbers the emissions within one handling.
 #[derive(Clone, Debug)]
 pub struct TaggedEvent {
     /// Simulation time of the handling that emitted the event.
@@ -215,15 +213,17 @@ struct ShardBuf {
     events: Vec<TaggedEvent>,
 }
 
-/// Per-shard event buffer for the parallel engine: worker threads record
-/// into this sink (tagged with the scheduler key currently being
-/// handled, via [`ShardBufferSink::set_tag`]); after the run, the
-/// buffers of all shards are merged by key and replayed into the real
-/// sink in the exact order a single-threaded run would have produced.
+/// Tagging event buffer for the swarm dispatcher: events recorded here
+/// carry the scheduler key currently being handled (set via
+/// [`ShardBufferSink::set_tag`]); after the run, [`replay_merged`]
+/// sorts them by tag into the real sink. Churn handling re-tags
+/// per-probe emissions onto the probe's own lane, so the replay order
+/// differs from the emission order, and the swarm's golden obs-log
+/// fingerprints pin the replay order.
 ///
 /// `accepts` delegates to the destination sink so filtering (and the
-/// `event!` macro's skip-fields fast path) behaves identically to the
-/// unsharded pipeline.
+/// `event!` macro's skip-fields fast path) behaves identically to an
+/// unbuffered pipeline.
 pub struct ShardBufferSink {
     dest: std::sync::Arc<dyn EventSink>,
     buf: Mutex<ShardBuf>,
@@ -279,12 +279,11 @@ impl EventSink for ShardBufferSink {
     }
 }
 
-/// Merges per-shard buffers by canonical key and replays them into
-/// `dest` — the single-threaded emission order, reconstructed.
-pub fn replay_merged(mut buffers: Vec<Vec<TaggedEvent>>, dest: &dyn EventSink) {
-    let mut all: Vec<TaggedEvent> = buffers.drain(..).flatten().collect();
-    all.sort_by_key(TaggedEvent::key);
-    for t in &all {
+/// Sorts a [`ShardBufferSink`]'s events by canonical key and replays
+/// them into `dest`.
+pub fn replay_merged(mut events: Vec<TaggedEvent>, dest: &dyn EventSink) {
+    events.sort_by_key(TaggedEvent::key);
+    for t in &events {
         dest.record(&t.event);
     }
 }
@@ -365,18 +364,17 @@ mod tests {
     #[test]
     fn shard_buffer_tags_and_replays_in_key_order() {
         let dest = std::sync::Arc::new(RingSink::new(16));
-        // Two shards emitting interleaved handlings, out of global order.
+        // Handlings tagged out of key order, as churn re-tagging does.
         let a = ShardBufferSink::new(dest.clone());
-        let b = ShardBufferSink::new(dest.clone());
-        b.set_tag(200, 5, 0);
-        b.record(&ev("swarm.tick", Level::Debug, 200));
+        a.set_tag(200, 5, 0);
+        a.record(&ev("swarm.tick", Level::Debug, 200));
         a.set_tag(100, 3, 1);
         a.record(&ev("swarm.tick", Level::Debug, 100));
         a.record(&ev("swarm.tick", Level::Debug, 101)); // idx 1, same handling
-        a.set_tag(200, 2, 0); // earlier origin than shard b's at t=200
+        a.set_tag(200, 2, 0); // earlier origin than the first tag at t=200
         a.record(&ev("swarm.tick", Level::Debug, 202));
         assert_eq!(dest.len(), 0, "buffered events must not reach dest yet");
-        replay_merged(vec![a.take(), b.take()], dest.as_ref());
+        replay_merged(a.take(), dest.as_ref());
         let got: Vec<u64> = dest
             .snapshot()
             .iter()

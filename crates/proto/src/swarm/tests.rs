@@ -146,53 +146,6 @@ fn deterministic_same_seed_same_trace() {
     }
 }
 
-/// The tentpole contract of the sharded engine: for any worker count,
-/// clean or faulted, every probe trace and every report counter is
-/// identical to the single-threaded run.
-#[test]
-fn shard_count_never_changes_the_run() {
-    let run = |shards: usize, faulted: bool| {
-        let reg = mini_registry();
-        let env = NetworkEnv {
-            registry: &reg,
-            paths: PathModel::new(9),
-            latency: LatencyModel::new(9),
-        };
-        let cfg = SwarmConfig {
-            seed: 9,
-            duration_us: 20_000_000,
-            stream: StreamParams::cctv1(),
-            profile: small_profile(AppProfile::pplive()),
-        };
-        let mut swarm = Swarm::new(cfg, env, mini_setup(60));
-        if faulted {
-            swarm.set_faults(&netaware_faults::FaultPlan::from_flags(Some(0.02), None, true));
-        }
-        swarm.set_shards(shards);
-        swarm.run()
-    };
-    for faulted in [false, true] {
-        let (base_set, base_report) = run(1, faulted);
-        assert!(base_report.chunks_delivered > 0, "degenerate baseline");
-        for shards in [2, 3, 8] {
-            let (set, report) = run(shards, faulted);
-            assert_eq!(
-                format!("{base_report:?}"),
-                format!("{report:?}"),
-                "report diverged at {shards} shards (faulted={faulted})"
-            );
-            for (ta, tb) in base_set.traces.iter().zip(&set.traces) {
-                assert_eq!(
-                    ta.records_unsorted(),
-                    tb.records_unsorted(),
-                    "trace of probe {} diverged at {shards} shards (faulted={faulted})",
-                    ta.probe
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn different_seeds_differ() {
     let (a, _) = run_mini(small_profile(AppProfile::tvants()), 15, 7);
@@ -594,16 +547,14 @@ fn departed_provider_pending_requests_move_to_requeue() {
     let mut sched = netaware_sim::Scheduler::new();
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
-        let mut outbox = netaware_sim::Outbox::new();
         dispatch::deliver(
             core,
             stack,
             &mut sched,
             &mut actions,
             &mut seq,
-            &mut outbox,
             netaware_sim::SimTime::from_ms(100),
             Event::Depart(provider),
             &dispatch::DispatchProf::disabled(),
@@ -670,7 +621,7 @@ fn discovery_tick_evicts_expired_neighbors() {
     let now = netaware_sim::SimTime::from_secs(10);
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -703,7 +654,7 @@ fn recovery_tick_times_out_overdue_requests() {
     });
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -734,7 +685,7 @@ fn scheduling_delivery_fills_buffer_once() {
     let (to, from, chunk) = (crate::peer::PeerId(1), crate::peer::PeerId(0), ChunkId(5));
     let mut actions = behaviour::Actions::default();
     for _ in 0..2 {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -761,7 +712,7 @@ fn announce_tick_emits_buffer_maps() {
     let before = swarm.core.report.signal_packets;
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -804,16 +755,14 @@ fn dispatcher_runs_custom_behaviours() {
     let mut sched = netaware_sim::Scheduler::new();
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
-        let mut outbox = netaware_sim::Outbox::new();
         dispatch::deliver(
             core,
             stack,
             &mut sched,
             &mut actions,
             &mut seq,
-            &mut outbox,
             netaware_sim::SimTime::from_ms(100),
             Event::Tick(0),
             &dispatch::DispatchProf::disabled(),

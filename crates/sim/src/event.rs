@@ -13,10 +13,9 @@
 //!    ids (probe index, or the reserved [`ORIGIN_INIT`]/[`ORIGIN_CHURN`]
 //!    lanes) and `oseq` is the origin's own monotone emission counter,
 //!    so the key of an event is a pure function of the *emitting
-//!    entity's* history. That makes the pop order invariant under
-//!    sharding: however the entities are partitioned across schedulers,
-//!    merging the per-scheduler pop streams by key reproduces the
-//!    single-queue order (see DESIGN.md, "Sharded parallel engine").
+//!    entity's* history, not of global insertion order. The swarm's
+//!    golden fingerprints pin the pop order this defines (DESIGN.md,
+//!    "One serial engine").
 //! 3. **Stable ties** — entries pushed through the legacy
 //!    [`Scheduler::push`] (origin [`ORIGIN_NONE`]) tie-break in
 //!    insertion order, preserving the historical FIFO behaviour for
@@ -45,16 +44,16 @@ const SLOTS: usize = 512;
 const DEFAULT_WIDTH_US: u64 = 4_096;
 
 /// Origin id for unattributed pushes (the legacy [`Scheduler::push`]
-/// API). Entity origins used by the sharded dispatcher start at 1.
+/// API). Entity origins used by the swarm dispatcher start at 1.
 pub const ORIGIN_NONE: u32 = 0;
 
-/// Reserved origin for events pushed during single-threaded
-/// bootstrap, before any shard worker runs.
+/// Reserved origin for events pushed during bootstrap, before the
+/// first event is handled.
 pub const ORIGIN_INIT: u32 = u32::MAX - 1;
 
-/// Reserved origin for replicated churn events. Sorts after every
-/// entity origin at equal timestamps, so all shards observe churn
-/// state transitions at the same point of the merged order.
+/// Reserved origin for swarm-wide churn events. Sorts after every
+/// entity origin at equal timestamps, so churn state transitions land
+/// after all per-entity work at the same instant.
 pub const ORIGIN_CHURN: u32 = u32::MAX;
 
 struct Entry<E> {
@@ -380,8 +379,7 @@ impl<E> Scheduler<E> {
     /// Drains and handles events with timestamps strictly below
     /// `end_us`, in key order; later events stay queued and the clock
     /// is left at the last dispatched timestamp. Returns the number of
-    /// events dispatched. This is the shard-window workhorse: one call
-    /// per conservative window, no per-event peeking.
+    /// events dispatched, with no per-event peeking.
     pub fn run_window<F: FnMut(&mut Self, SimTime, E)>(
         &mut self,
         end_us: u64,
@@ -391,10 +389,10 @@ impl<E> Scheduler<E> {
     }
 
     /// [`Scheduler::run_window`] with the popped entry's canonical
-    /// `(origin, oseq)` key exposed to the handler. The sharded
+    /// `(origin, oseq)` key exposed to the handler. The swarm
     /// dispatcher tags the observability events emitted while handling
-    /// an entry with that key, so per-shard event buffers can be merged
-    /// back into the exact single-queue emission order.
+    /// an entry with that key, and replays the buffered events in tag
+    /// order after the run.
     pub fn run_window_keyed<F: FnMut(&mut Self, SimTime, (u32, u32), E)>(
         &mut self,
         end_us: u64,
@@ -438,15 +436,6 @@ impl<E> Scheduler<E> {
             self.now = horizon;
         }
         n
-    }
-
-    /// Advances the clock to `t` without dispatching (no-op when the
-    /// clock is already past `t`). Used by the sharded driver to close
-    /// the final window on the horizon.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if self.now < t {
-            self.now = t;
-        }
     }
 }
 

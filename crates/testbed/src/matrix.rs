@@ -14,8 +14,8 @@
 //!
 //! Cells are independent deterministic experiments sharing one seed, so
 //! the report is a pure function of the config: byte-identical across
-//! repeat runs, shard counts and toolchains (the CI `scenario-matrix`
-//! job re-runs a small config twice and diffs the bytes). Cells execute
+//! repeat runs and toolchains (the CI `scenario-matrix` job re-runs a
+//! small config twice and diffs the bytes). Cells execute
 //! concurrently under rayon, but results are collected in sweep order,
 //! so thread scheduling never reaches the output.
 
@@ -192,14 +192,23 @@ fn cell_dirname(label: &str) -> String {
 
 /// Runs the whole matrix. With `out_dir` set, every cell streams its
 /// capture to `out_dir/<cell-dirname>/` (a re-analysable corpus);
-/// without it, cells run in memory. `shards` is forwarded to each
-/// swarm's event loop (sharded cells are byte-identical to serial
-/// ones). Returns the report in fixed sweep order.
+/// without it, cells run in memory. Returns the report in fixed sweep
+/// order.
+///
+/// `shards` must be 1: the sharded engine it once selected has been
+/// removed, and any other value is an error. The parameter stays so
+/// existing callers keep compiling.
 pub fn run_matrix(
     cfg: &MatrixConfig,
     shards: usize,
     out_dir: Option<&Path>,
 ) -> Result<MatrixReport, String> {
+    if shards != 1 {
+        return Err(format!(
+            "shards = {shards}: the sharded simulation engine was removed; \
+             every cell runs on the serial engine (pass 1)"
+        ));
+    }
     cfg.validate()?;
     // Enumerate cells in sweep order first; rayon preserves this order
     // in the collected results regardless of execution interleaving.
@@ -224,7 +233,6 @@ pub fn run_matrix(
                 scale,
                 duration_us: cfg.duration_us,
                 faults: cell_plan(sess, fs),
-                shards,
                 ..Default::default()
             };
             let out = match out_dir {

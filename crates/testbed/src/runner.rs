@@ -46,10 +46,6 @@ pub struct ExperimentOptions {
     /// Defaults to the no-op plan, which installs nothing and leaves
     /// runs byte-identical to fault-unaware ones.
     pub faults: FaultPlan,
-    /// Shard workers for the swarm event loop (default 1 = serial).
-    /// Sharded runs are byte-identical to serial ones; see
-    /// `Swarm::set_shards`.
-    pub shards: usize,
 }
 
 impl Default for ExperimentOptions {
@@ -62,7 +58,6 @@ impl Default for ExperimentOptions {
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),
-            shards: 1,
         }
     }
 }
@@ -149,7 +144,6 @@ pub fn run_on_scenario(
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
     swarm.set_obs(opts.obs.clone());
     swarm.set_faults(&opts.faults);
-    swarm.set_shards(opts.shards);
     let (traces, report) = {
         let _swarm_span = opts.obs.span("testbed.swarm");
         match swarm.run_into(MemorySink::with_obs(opts.obs.clone())) {
@@ -231,7 +225,6 @@ pub fn run_streamed_on_scenario(
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
     swarm.set_obs(opts.obs.clone());
     swarm.set_faults(&opts.faults);
-    swarm.set_shards(opts.shards);
     let (manifest, report) = {
         let _swarm_span = opts.obs.span("testbed.swarm");
         swarm.run_into(CorpusSink::create_with(dir, opts.obs.clone())?)?
@@ -288,7 +281,6 @@ mod tests {
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),
-            shards: 1,
         }
     }
 

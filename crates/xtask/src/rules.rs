@@ -157,8 +157,8 @@ impl RuleId {
                  serialisation, or reduce calls (collect/fold/sum); order the collection first"
             }
             RuleId::Cc01 => {
-                "no bare std::thread::spawn/Mutex/RwLock outside the sanctioned parallel-core \
-                 modules (sim::par); cross-shard state goes through audited primitives"
+                "no bare std::thread::spawn/Mutex/RwLock outside the audited crates/obs modules; \
+                 parallel work is a rayon map whose results are collected in order"
             }
             RuleId::Cc02 => {
                 "no Ordering::Relaxed/AcqRel atomics outside the audited commutative-metrics \
@@ -189,14 +189,12 @@ impl RuleId {
 }
 
 /// Modules sanctioned to hold bare thread/lock primitives (CC01): the
-/// sharded parallel simulation core, plus the audited observability
-/// modules — each holds exactly one flat `Mutex` (no nested
-/// acquisition, so no lock-order coupling) and everything merge-visible
-/// serialises in `BTreeMap` order, so byte-stable merges cannot be
-/// broken by lock scheduling. Everything else goes through `sim::par`.
+/// audited observability modules — each holds exactly one flat `Mutex`
+/// (no nested acquisition, so no lock-order coupling) and everything
+/// merge-visible serialises in `BTreeMap` order, so byte-stable merges
+/// cannot be broken by lock scheduling. Everything else runs parallel
+/// work as a rayon map with an ordered collect.
 const CC01_SANCTIONED: &[&str] = &[
-    "crates/sim/src/par.rs",
-    "crates/sim/src/par/",
     "crates/obs/src/clock.rs",
     "crates/obs/src/lib.rs",
     "crates/obs/src/metrics.rs",
@@ -820,9 +818,9 @@ fn cc01(code: &[Tok], lo: usize, hi: usize, paths: &[ast::PathMention], out: &mu
                             RuleId::Cc01,
                             t,
                             format!(
-                                "bare `thread::{}` outside the sanctioned parallel core; shard \
-                                 work through `sim::par` so cross-shard order stays \
-                                 deterministic",
+                                "bare `thread::{}` outside the audited obs modules; run \
+                                 parallel work as a rayon map with an ordered collect so \
+                                 merge order stays deterministic",
                                 pair.1
                             ),
                         ));
@@ -837,9 +835,9 @@ fn cc01(code: &[Tok], lo: usize, hi: usize, paths: &[ast::PathMention], out: &mu
                 RuleId::Cc01,
                 t,
                 format!(
-                    "bare `{}` outside the sanctioned parallel core; lock-ordering bugs break \
-                     byte-stable merges — use `sim::par` primitives or add the module to the \
-                     audited list",
+                    "bare `{}` outside the audited obs modules; lock-ordering bugs break \
+                     byte-stable merges — collect results in order instead of sharing locked \
+                     state, or add the module to the audited list",
                     t.text
                 ),
             ));
@@ -865,8 +863,9 @@ fn cc02(code: &[Tok], paths: &[ast::PathMention], out: &mut Vec<RawFinding>) {
                             t,
                             format!(
                                 "`Ordering::{variant}` outside the audited commutative-metrics \
-                                 modules; non-SeqCst updates can reorder across shard merges — \
-                                 use SeqCst or move the counter into `crates/obs` metrics"
+                                 modules; non-SeqCst updates can reorder across concurrent \
+                                 merges — use SeqCst or move the counter into `crates/obs` \
+                                 metrics"
                             ),
                         ));
                     }

@@ -161,13 +161,16 @@ fn cc01_fixture_clean_passes() {
 }
 
 #[test]
-fn cc01_sanctioned_parallel_core_is_exempt() {
-    // The sharded parallel core owns these primitives.
-    let diags = lint_as("crates/sim/src/par.rs", "cc01_violation.rs");
+fn cc01_sanctioned_obs_module_is_exempt() {
+    // The audited obs sinks own these primitives.
+    let diags = lint_as("crates/obs/src/sink.rs", "cc01_violation.rs");
     assert!(
         diags.iter().all(|d| d.rule != "CC01"),
         "CC01 fired in the sanctioned module: {diags:?}"
     );
+    // The removed parallel engine's module path is no longer exempt.
+    let diags = lint_as("crates/sim/src/par.rs", "cc01_violation.rs");
+    assert_eq!(diags.iter().filter(|d| d.rule == "CC01").count(), 3);
 }
 
 // ---- CC02: relaxed atomic orderings -------------------------------------

@@ -10,11 +10,6 @@
 //! (Epidemic-RP / Epidemic-BA) are pinned the same way, with an extra
 //! assertion that the two push policies stay mutually distinguishable.
 //!
-//! Since the sharded parallel engine landed, every cell runs across the
-//! full shard axis (`SHARD_AXIS` = 1/2/8 workers) and must reproduce
-//! the *same* fingerprints at every worker count: parallelism is a pure
-//! speed knob, never an output knob.
-//!
 //! The one sanctioned divergence is the per-behaviour event *naming*
 //! (`swarm.handshake` → `swarm.discovery.handshake`, …): the obs log is
 //! normalised back to the legacy names before hashing, so a rename is
@@ -69,12 +64,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Shard-worker counts every golden cell is checked under. The sharded
-/// engine promises byte-identical artifacts at any worker count, so the
-/// same fingerprints must reproduce across the whole axis.
-const SHARD_AXIS: &[usize] = &[1, 2, 8];
-
-fn options(faults: FaultPlan, obs: Obs, shards: usize) -> ExperimentOptions {
+fn options(faults: FaultPlan, obs: Obs) -> ExperimentOptions {
     ExperimentOptions {
         seed: 777,
         scale: 0.02,
@@ -83,15 +73,14 @@ fn options(faults: FaultPlan, obs: Obs, shards: usize) -> ExperimentOptions {
         keep_traces: true,
         obs,
         faults,
-        shards,
     }
 }
 
 /// One observed run → (corpus hash, normalised obs-log hash, metrics hash).
-fn fingerprint(profile: AppProfile, faults: FaultPlan, shards: usize) -> (u64, u64, u64) {
+fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64) {
     let sink = Arc::new(RingSink::new(1 << 22));
     let obs = Obs::new(sink.clone() as Arc<dyn netaware::obs::EventSink>);
-    let out = run_experiment(profile, &options(faults, obs.clone(), shards));
+    let out = run_experiment(profile, &options(faults, obs.clone()));
     let traces = out.traces.expect("keep_traces is set");
     let mut corpus = Vec::new();
     for t in &traces.traces {
@@ -128,10 +117,9 @@ struct Golden {
 }
 
 /// Fingerprints of the current engine (seed 777, scale 0.02, 20 s).
-/// Last regenerated for the sharded-core rewrite, whose receiver-side
-/// wire model (explicit `ChunkRx`/`SignalRx` arrival events) is a
-/// sanctioned trace-affecting change; every cell must reproduce these
-/// bytes at 1, 2, and 8 shard workers alike.
+/// Last regenerated when the receiver-side wire model (explicit
+/// `ChunkRx`/`SignalRx` arrival events) landed, a sanctioned
+/// trace-affecting change.
 const GOLDEN: &[Golden] = &[
     Golden { app: "PPLive", faulted: false, corpus: 0xc138c8aab60ccdf4, obs_log: 0x9586a9df3958f2e9, metrics: 0x205509e05444cf95 },
     Golden { app: "PPLive", faulted: true, corpus: 0x08461cc584e098be, obs_log: 0x9c7b414ee4c496b6, metrics: 0xe587f424aa94650b },
@@ -155,18 +143,14 @@ const GOLDEN_APPS: &[&str] = &["PPLive", "SopCast", "TVAnts", "Epidemic-RP", "Ep
 
 fn check(g: &Golden) {
     let faults = if g.faulted { fault_plan() } else { FaultPlan::none() };
-    for &shards in SHARD_AXIS {
-        let (corpus, obs_log, metrics) =
-            fingerprint(profile_by_name(g.app), faults.clone(), shards);
-        assert_eq!(
-            (corpus, obs_log, metrics),
-            (g.corpus, g.obs_log, g.metrics),
-            "{} (faulted={}, shards={}) diverged from the golden artifacts",
-            g.app,
-            g.faulted,
-            shards
-        );
-    }
+    let (corpus, obs_log, metrics) = fingerprint(profile_by_name(g.app), faults);
+    assert_eq!(
+        (corpus, obs_log, metrics),
+        (g.corpus, g.obs_log, g.metrics),
+        "{} (faulted={}) diverged from the golden artifacts",
+        g.app,
+        g.faulted
+    );
 }
 
 #[test]
@@ -227,7 +211,7 @@ fn print_golden_table() {
     for app in GOLDEN_APPS.iter().copied() {
         for faulted in [false, true] {
             let faults = if faulted { fault_plan() } else { FaultPlan::none() };
-            let (corpus, obs_log, metrics) = fingerprint(profile_by_name(app), faults, 1);
+            let (corpus, obs_log, metrics) = fingerprint(profile_by_name(app), faults);
             println!(
                 "    Golden {{ app: \"{app}\", faulted: {faulted}, corpus: \
                  0x{corpus:016x}, obs_log: 0x{obs_log:016x}, metrics: 0x{metrics:016x} }},"
