@@ -16,23 +16,23 @@
 //!    statistics: bytes/packets per direction, video bytes by the size
 //!    heuristic, minimum inter-packet gap of received video trains, and
 //!    received TTLs;
-//! 2. [`contributors`] — the heuristic of the NAPA-WINE tech report
+//! 3. [`contributors`] — the heuristic of the NAPA-WINE tech report
 //!    (ref. \[14\]): a remote is a contributor in a direction when it
 //!    moved at least a chunk's worth of video-sized payload;
-//! 3. [`ipg`] — packet-pair capacity inference: a remote has a
+//! 4. [`ipg`] — packet-pair capacity inference: a remote has a
 //!    high-bandwidth (>10 Mb/s) path when some 1250-byte packet pair
 //!    arrived less than 1 ms apart;
-//! 4. [`hop`] — `128 − TTL` hop estimation and the median split;
-//! 5. [`partition`] — the preferential-partition abstraction
+//! 5. [`hop`] — `128 − TTL` hop estimation and the median split;
+//! 6. [`partition`] — the preferential-partition abstraction
 //!    `X = X_P ∪ X̄_P` with the five instances the paper studies (BW,
 //!    AS, CC, NET, HOP);
-//! 6. [`preference`] — the `P` (peer-wise) and `B` (byte-wise)
+//! 7. [`preference`] — the `P` (peer-wise) and `B` (byte-wise)
 //!    preference percentages of Eq. (7)–(8), in the four variants of
 //!    Table IV ({download, upload} × {all contributors, excluding the
 //!    probe set `W`});
-//! 7. [`summary`], [`selfbias`], [`geo`], [`asmatrix`] — the remaining
+//! 8. [`summary`], [`selfbias`], [`geo`], [`asmatrix`] — the remaining
 //!    tables and figures (Table II, Table III, Fig. 1, Fig. 2);
-//! 8. [`report`] — one-call orchestration producing a serialisable
+//! 9. [`report`] — one-call orchestration producing a serialisable
 //!    [`report::ExperimentAnalysis`] and the
 //!    paper-style text tables.
 //!

@@ -97,7 +97,6 @@ pub fn analyze_with_obs(
     obs: &Obs,
 ) -> ExperimentAnalysis {
     let outs: Vec<ProbeOutput> = {
-        let _sweep = obs.span("analysis.sweep");
         let psweep = obs.pspan("analysis.sweep");
         let outs: Vec<ProbeOutput> = set
             .traces
@@ -159,7 +158,6 @@ pub fn analyze_corpus_with_obs(
     let corpus = CorpusStream::open_with(dir, obs.clone())?;
     let duration_us = corpus.duration_us();
     let streamed: Vec<Result<ProbeOutput, TraceError>> = {
-        let _sweep = obs.span("analysis.sweep");
         let psweep = obs.pspan("analysis.sweep");
         let streamed: Vec<Result<ProbeOutput, TraceError>> = corpus
             .probes()
@@ -267,7 +265,6 @@ fn assemble(
     highbw_probes: &BTreeSet<Ip>,
     obs: &Obs,
 ) -> ExperimentAnalysis {
-    let _assemble = obs.span("analysis.assemble");
     let passemble = obs.pspan("analysis.assemble");
     let records_swept = obs.counter("analysis.records_swept");
     let probes_analyzed = obs.counter("analysis.probes_analyzed");

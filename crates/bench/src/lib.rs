@@ -47,6 +47,8 @@ pub fn bench_options() -> ExperimentOptions {
 }
 
 fn build_fixture(profile: AppProfile) -> Fixture {
+    // The same scenario `run_experiment` builds from `bench_options()`,
+    // rebuilt for its registry and high-bandwidth probe set.
     let scenario = netaware_testbed::BuiltScenario::build(
         &netaware_testbed::ScenarioConfig {
             seed: 1234,
@@ -55,7 +57,7 @@ fn build_fixture(profile: AppProfile) -> Fixture {
         },
         profile.overlay_size,
     );
-    let out = netaware_testbed::run_on_scenario(profile, &scenario, &bench_options());
+    let out = netaware_testbed::run_experiment(profile, &bench_options());
     let traces = out.traces.expect("fixtures keep traces"); // netaware-lint: allow(PA01) bench_options sets keep_traces
     let flows = aggregate(&traces, &AnalysisConfig::default());
     Fixture {

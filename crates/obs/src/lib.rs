@@ -13,9 +13,13 @@
 //! * a **metrics registry** — named [`Counter`]s/[`Gauge`]s and
 //!   [`netaware_sim::stats::Histogram`]-backed histograms with a
 //!   `BTreeMap`-ordered JSON/CSV [`MetricsSnapshot`];
-//! * **span timing** — a [`Clock`] abstraction so the layers allowed to
-//!   spend wall time (analysis, corpus streaming, report emission) can be
-//!   timed without `sim`/`proto`/`net`/`testbed` ever naming `Instant`.
+//! * a **span profiler** — the one way to time a region. [`Obs::pspan`]
+//!   opens a named span that nests under the innermost open span on its
+//!   thread, and the [`Profiler`] folds every span into one
+//!   [`ProfileNode`] tree of wall time, calls, allocations and work
+//!   items, written out as a [`PerfReport`]. It reads time through the
+//!   [`Clock`] trait, so `sim`/`proto`/`net`/`testbed` never name
+//!   `Instant`.
 //!
 //! The [`Obs`] handle bundles all three. It is a cheap `Arc` clone, and a
 //! default-constructed (disabled) handle makes every operation — event
@@ -47,7 +51,7 @@ pub mod profile;
 pub mod sink;
 pub mod summary;
 
-pub use clock::{Clock, ManualClock, PhaseTiming, Span, Timings, WallClock};
+pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, FieldValue, Level};
 pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
 pub use profile::{
@@ -74,14 +78,12 @@ struct Inner {
     filter: Filter,
     sink: Arc<dyn EventSink>,
     registry: Arc<Registry>,
-    timings: Timings,
     profiler: Option<Profiler>,
-    clock: Arc<dyn Clock>,
 }
 
 /// The observability handle threaded through the pipeline.
 ///
-/// Cloning shares the sink, registry and timings. The default handle is
+/// Cloning shares the sink, registry and profiler. The default handle is
 /// *disabled*: [`Obs::enabled`] is `false` for everything, metric handles
 /// are no-ops, and spans record nothing.
 #[derive(Clone, Default)]
@@ -103,30 +105,25 @@ impl Obs {
         Obs::default()
     }
 
-    /// An enabled handle sending everything to `sink`, timing spans with
-    /// the real [`WallClock`].
+    /// An enabled handle sending everything to `sink`. It collects
+    /// events and metrics but does *not* profile; see
+    /// [`Obs::with_profiler`].
     pub fn new(sink: Arc<dyn EventSink>) -> Obs {
-        Obs::with_parts(sink, Filter::all(), Arc::new(WallClock::new()))
+        Obs::with_filter(sink, Filter::all())
     }
 
     /// An enabled handle with an explicit [`Filter`].
     pub fn with_filter(sink: Arc<dyn EventSink>, filter: Filter) -> Obs {
-        Obs::with_parts(sink, filter, Arc::new(WallClock::new()))
+        Obs::build(sink, filter, None)
     }
 
-    /// Fully explicit construction: sink, filter and span clock. The
-    /// handle collects events, metrics and timings but does *not*
-    /// profile; see [`Obs::with_profiler`].
-    pub fn with_parts(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
-        Obs::build(sink, filter, clock, false)
-    }
-
-    /// Like [`Obs::with_parts`] but with the span profiler armed:
-    /// [`Obs::pspan`]/[`Obs::prof_cell`] record into a tree read back by
+    /// Like [`Obs::with_filter`] but with the span profiler armed,
+    /// reading time from `clock`: [`Obs::pspan`]/[`Obs::prof_cell`]
+    /// record into a tree read back by
     /// [`Obs::profile_tree`]/[`Obs::perf_report`]. Profiling is opt-in
     /// because it reads the clock around every instrumented hook call.
     pub fn with_profiler(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
-        Obs::build(sink, filter, clock, true)
+        Obs::build(sink, filter, Some(Profiler::new(clock)))
     }
 
     /// A profiling handle with no event collection (null sink, wall
@@ -140,21 +137,19 @@ impl Obs {
         )
     }
 
-    fn build(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>, prof: bool) -> Obs {
+    fn build(sink: Arc<dyn EventSink>, filter: Filter, profiler: Option<Profiler>) -> Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 filter,
-                sink: Arc::clone(&sink),
+                sink,
                 registry: Arc::new(Registry::new()),
-                timings: Timings::new(Arc::clone(&clock)),
-                profiler: prof.then(|| Profiler::new(Arc::clone(&clock))),
-                clock,
+                profiler,
             })),
         }
     }
 
-    /// A handle sharing this one's filter, metrics registry, profiler
-    /// and clock, but writing events to `sink` instead. This is how the
+    /// A handle sharing this one's filter, metrics registry and
+    /// profiler, but writing events to `sink` instead. This is how the
     /// swarm dispatcher routes its events into a tagging buffer while
     /// metric updates and profiler spans still land in the shared
     /// collectors.
@@ -167,9 +162,7 @@ impl Obs {
                     filter: inner.filter.clone(),
                     sink,
                     registry: Arc::clone(&inner.registry),
-                    timings: Timings::new(Arc::clone(&inner.clock)),
                     profiler: inner.profiler.clone(),
-                    clock: Arc::clone(&inner.clock),
                 })),
             },
         }
@@ -234,15 +227,6 @@ impl Obs {
         self.inner.as_ref().map(|i| i.registry.snapshot())
     }
 
-    /// Starts a wall-clock span; the guard records on drop (nothing when
-    /// disabled).
-    pub fn span(&self, name: &str) -> Span<'_> {
-        match &self.inner {
-            None => Span::disabled(),
-            Some(inner) => inner.timings.span(name),
-        }
-    }
-
     /// Whether the span profiler is armed (see [`Obs::with_profiler`]).
     pub fn profiling(&self) -> bool {
         self.inner
@@ -284,14 +268,6 @@ impl Obs {
         let tree = self.profile_tree()?;
         let metrics = self.metrics()?;
         Some(PerfReport::new(meta, tree, metrics))
-    }
-
-    /// Completed spans, in completion order (empty when disabled).
-    pub fn timings(&self) -> Vec<PhaseTiming> {
-        self.inner
-            .as_ref()
-            .map(|i| i.timings.snapshot())
-            .unwrap_or_default()
     }
 
     /// Flushes the sink (e.g. the JSONL writer's buffer).
@@ -358,7 +334,6 @@ mod tests {
         obs.gauge("y").set(3);
         obs.histogram("z", 8).record(1);
         assert!(obs.metrics().is_none());
-        assert!(obs.timings().is_empty());
         obs.flush().expect("flush never fails when disabled");
         let _ = format!("{obs:?}");
     }
@@ -440,19 +415,5 @@ mod tests {
             tree.children.iter().any(|c| c.name == "swarm.dispatch"),
             "forked span must land in the parent's tree"
         );
-    }
-
-    #[test]
-    fn spans_record_through_the_handle() {
-        let clock = Arc::new(ManualClock::new());
-        let obs = Obs::with_parts(Arc::new(NullSink::new()), Filter::all(), clock.clone());
-        {
-            let _s = obs.span("analysis.sweep");
-            clock.advance(42);
-        }
-        let t = obs.timings();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].name, "analysis.sweep");
-        assert_eq!(t[0].elapsed_us, 42);
     }
 }

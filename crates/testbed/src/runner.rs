@@ -17,7 +17,7 @@ use netaware_proto::{
     AppProfile, NetworkEnv, StreamParams, Swarm, SwarmConfig, SwarmReport,
 };
 use netaware_sim::SimTime;
-use netaware_trace::{CorpusSink, MemorySink, TraceError, TraceSet};
+use netaware_trace::{CorpusSink, MemorySink, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
 use std::path::Path;
 
@@ -97,73 +97,28 @@ pub struct ExperimentOutput {
 
 /// Runs one application end-to-end.
 pub fn run_experiment(profile: AppProfile, opts: &ExperimentOptions) -> ExperimentOutput {
-    let scenario = {
-        let _build = opts.obs.pspan("testbed.build");
-        BuiltScenario::build(
-            &ScenarioConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..Default::default()
-            },
-            profile.overlay_size,
-        )
-    };
-    run_on_scenario(profile, &scenario, opts)
-}
-
-/// Runs one application on an already-built scenario.
-pub fn run_on_scenario(
-    profile: AppProfile,
-    scenario: &BuiltScenario,
-    opts: &ExperimentOptions,
-) -> ExperimentOutput {
-    let app = profile.name.clone();
-    let tspan = opts.obs.pspan("testbed.run");
-    tspan.add_sim_us(opts.duration_us);
-    let env = NetworkEnv {
-        registry: &scenario.registry,
-        paths: scenario.paths,
-        latency: scenario.latency,
-    };
-    let cfg = SwarmConfig {
-        seed: opts.seed,
-        duration_us: opts.duration_us,
-        stream: StreamParams::cctv1(),
+    let run = run_with(
         profile,
-    };
-    netaware_obs::event!(
-        opts.obs,
-        Level::Info,
-        "testbed.experiment",
-        SimTime::ZERO,
-        "app" = app.as_str(),
-        "seed" = opts.seed,
-        "scale" = opts.scale,
-        "streamed" = false,
+        opts,
+        false,
+        || Ok(MemorySink::with_obs(opts.obs.clone())),
+        |traces, scenario| {
+            Ok(analyze_with_obs(
+                traces,
+                &scenario.registry,
+                &opts.analysis,
+                &scenario.highbw_probe_ips,
+                &opts.obs,
+            ))
+        },
     );
-    let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
-    swarm.set_obs(opts.obs.clone());
-    swarm.set_faults(&opts.faults);
-    let (traces, report) = {
-        let _swarm_span = opts.obs.span("testbed.swarm");
-        match swarm.run_into(MemorySink::with_obs(opts.obs.clone())) {
-            Ok(out) => out,
-            // MemorySink::sink_probe / finish are infallible.
-            Err(_) => unreachable!("in-memory sink cannot fail"),
-        }
-    };
-    let analysis = analyze_with_obs(
-        &traces,
-        &scenario.registry,
-        &opts.analysis,
-        &scenario.highbw_probe_ips,
-        &opts.obs,
-    );
-    ExperimentOutput {
-        app,
-        analysis,
-        report,
-        traces: opts.keep_traces.then_some(traces),
+    match run {
+        Ok((traces, out)) => ExperimentOutput {
+            traces: opts.keep_traces.then_some(traces),
+            ..out
+        },
+        // MemorySink::sink_probe / finish are infallible.
+        Err(_) => unreachable!("in-memory sink cannot fail"),
     }
 }
 
@@ -177,6 +132,36 @@ pub fn run_streamed(
     opts: &ExperimentOptions,
     dir: &Path,
 ) -> Result<ExperimentOutput, TraceError> {
+    let (manifest, out) = run_with(
+        profile,
+        opts,
+        true,
+        || CorpusSink::create_with(dir, opts.obs.clone()),
+        |_, scenario| {
+            analyze_corpus_with_obs(
+                dir,
+                &scenario.registry,
+                &opts.analysis,
+                &scenario.highbw_probe_ips,
+                &opts.obs,
+            )
+        },
+    )?;
+    debug_assert_eq!(manifest.total_packets, out.analysis.total_packets);
+    Ok(out)
+}
+
+/// The steps both runners share: build the scenario, wire the swarm,
+/// drain its capture into the sink made by `sink`, and run `analyze`
+/// on the sealed output, all under one `testbed.run` span. Returns the
+/// sink's output next to an [`ExperimentOutput`] without traces.
+fn run_with<S: RecordSink>(
+    profile: AppProfile,
+    opts: &ExperimentOptions,
+    streamed: bool,
+    sink: impl FnOnce() -> Result<S, TraceError>,
+    analyze: impl FnOnce(&S::Output, &BuiltScenario) -> Result<ExperimentAnalysis, TraceError>,
+) -> Result<(S::Output, ExperimentOutput), TraceError> {
     let scenario = {
         let _build = opts.obs.pspan("testbed.build");
         BuiltScenario::build(
@@ -188,16 +173,6 @@ pub fn run_streamed(
             profile.overlay_size,
         )
     };
-    run_streamed_on_scenario(profile, &scenario, opts, dir)
-}
-
-/// [`run_streamed`] on an already-built scenario.
-pub fn run_streamed_on_scenario(
-    profile: AppProfile,
-    scenario: &BuiltScenario,
-    opts: &ExperimentOptions,
-    dir: &Path,
-) -> Result<ExperimentOutput, TraceError> {
     let app = profile.name.clone();
     let tspan = opts.obs.pspan("testbed.run");
     tspan.add_sim_us(opts.duration_us);
@@ -220,29 +195,22 @@ pub fn run_streamed_on_scenario(
         "app" = app.as_str(),
         "seed" = opts.seed,
         "scale" = opts.scale,
-        "streamed" = true,
+        "streamed" = streamed,
     );
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
     swarm.set_obs(opts.obs.clone());
     swarm.set_faults(&opts.faults);
-    let (manifest, report) = {
-        let _swarm_span = opts.obs.span("testbed.swarm");
-        swarm.run_into(CorpusSink::create_with(dir, opts.obs.clone())?)?
-    };
-    let analysis = analyze_corpus_with_obs(
-        dir,
-        &scenario.registry,
-        &opts.analysis,
-        &scenario.highbw_probe_ips,
-        &opts.obs,
-    )?;
-    debug_assert_eq!(manifest.total_packets, analysis.total_packets);
-    Ok(ExperimentOutput {
-        app,
-        analysis,
-        report,
-        traces: None,
-    })
+    let (sealed, report) = swarm.run_into(sink()?)?;
+    let analysis = analyze(&sealed, &scenario)?;
+    Ok((
+        sealed,
+        ExperimentOutput {
+            app,
+            analysis,
+            report,
+            traces: None,
+        },
+    ))
 }
 
 /// Runs the three paper applications (PPLive, SopCast, TVAnts)

@@ -1,8 +1,9 @@
 //! `netaware-cli` — run and analyse P2P-TV network-awareness experiments.
 //!
 //! ```text
-//! netaware-cli suite     [--scale F] [--secs N] [--seed N] [--json FILE]
-//! netaware-cli replicate APP [--runs N] [--scale F] [--secs N]
+//! netaware-cli suite     [--spill DIR] [--scale F] [--secs N] [--seed N] [--json FILE]
+//!                        [--csv DIR] [--markdown FILE] [--profile FILE]
+//! netaware-cli replicate APP [--runs N] [--scale F] [--secs N] [--seed N]
 //! netaware-cli run APP [--uniform] [--spill DIR] [--scale F] [--secs N] [--seed N] [--json FILE]
 //!                      [--obs-log FILE] [--metrics FILE] [--profile FILE]
 //!                      [--faults FILE] [--loss P] [--jitter-us N] [--churn]
@@ -19,6 +20,13 @@
 //! `APP` is any registered profile name or alias (`pplive`, `sopcast`,
 //! `tvants`, `nextgen`, `pplive-unpop`, `epidemic-rp`, `epidemic-ba` —
 //! see `AppProfile::all`).
+//!
+//! `suite` prints every table and figure of the paper plus the hop
+//! distributions, network-friendliness metrics and ground truth;
+//! `suite --spill DIR` runs the apps one at a time, each spilled to its
+//! own corpus under `DIR/<app>/`. `replicate APP` reruns one app under
+//! the seeds `seed + 37·i` (`i < runs`) and reports mean ± stddev;
+//! `nextgen` scores the incumbents against the `NAPA-NG` profile.
 //!
 //! `matrix --config FILE` sweeps a scenario grid (profiles × scales ×
 //! session models × fault plans, JSON `MatrixConfig`; start from
@@ -58,9 +66,10 @@
 //! nothing for this workload on real cores and was removed; `suite` and
 //! `matrix` spread whole experiments across cores instead.
 //!
-//! `run --profile FILE` and `analyze --profile FILE` arm the span
-//! profiler and write the finished run's `PerfReport` (the
-//! `BENCH_*.json` format emitted by `xtask perf`) to FILE;
+//! `run`, `suite` and `analyze` take `--profile FILE`: it arms the span
+//! profiler, writes the finished run's `PerfReport` (the
+//! `BENCH_*.json` format emitted by `xtask perf`) to FILE, and prints
+//! one `timing:` line per top-two-level span on stderr;
 //! `obs profile FILE` renders such a snapshot as an indented
 //! flame-style table with self/total wall time, calls, allocations and
 //! per-phase throughput.
@@ -227,8 +236,18 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
     Ok(c)
 }
 
-/// Writes the `--profile` snapshot, if one was requested. Returns false
-/// when requested but unwritable.
+/// The handle `--profile` asks for: the profiler armed, or disabled.
+fn profile_obs(c: &Common) -> Obs {
+    if c.profile_out.is_some() {
+        Obs::profiled()
+    } else {
+        Obs::default()
+    }
+}
+
+/// Writes the `--profile` snapshot, if one was requested, and prints
+/// the inclusive wall time of every depth-1 and depth-2 span. Returns
+/// false when requested but unwritable.
 fn write_profile_snapshot(obs: &Obs, scenario: &str, c: &Common) -> bool {
     let Some(path) = &c.profile_out else {
         return true;
@@ -242,6 +261,15 @@ fn write_profile_snapshot(obs: &Obs, scenario: &str, c: &Common) -> bool {
         return false;
     }
     eprintln!("perf snapshot written to {path}");
+    let timing = |path: &str, wall_ns: u64| {
+        eprintln!("timing: {path:<40} {:>10.3} ms", wall_ns as f64 / 1e6);
+    };
+    for top in &report.profile.children {
+        timing(&top.name, top.wall_ns);
+        for child in &top.children {
+            timing(&format!("{}/{}", top.name, child.name), child.wall_ns);
+        }
+    }
     true
 }
 
@@ -310,10 +338,68 @@ fn write_json(path: &str, outs: &[testbed::ExperimentOutput]) {
     eprintln!("analysis written to {path}");
 }
 
+/// The `suite`-only blocks after the paper's tables: hop
+/// distributions, network friendliness and the ground truth.
+fn print_suite_extras(outs: &[testbed::ExperimentOutput]) {
+    println!("HOP DISTRIBUTIONS (§III-B: medians should sit near the fixed threshold 19)");
+    for o in outs {
+        print!("{}", o.analysis.hop_distribution.render(&o.app));
+    }
+    println!();
+
+    println!("NETWORK FRIENDLINESS (extension metrics)");
+    println!(
+        "  {:<8} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "app", "subnet%", "intraAS%", "intraCC%", "transit%", "hops/byte"
+    );
+    for o in outs {
+        let f = &o.analysis.friendliness;
+        println!(
+            "  {:<8} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1}",
+            o.app, f.subnet_pct, f.intra_as_pct, f.intra_cc_pct, f.transit_pct, f.mean_hops_per_byte
+        );
+    }
+    println!();
+
+    for o in outs {
+        println!(
+            "[truth] {:<8} continuity {:.3}, {} pkts captured, {} events",
+            o.app,
+            o.report.continuity(),
+            o.analysis.total_packets,
+            o.report.events_dispatched
+        );
+    }
+}
+
 fn cmd_suite(c: &Common) -> ExitCode {
     println!("{}", testbed::hosts::render_table1());
-    let outs = run_paper_suite(&opts_of(c));
+    let opts = ExperimentOptions {
+        obs: profile_obs(c),
+        ..opts_of(c)
+    };
+    let outs = match &c.spill {
+        // One application at a time, each capture spilled to its own
+        // corpus and analysed back off disk.
+        Some(dir) => {
+            let mut outs = Vec::new();
+            for p in AppProfile::paper_apps() {
+                let sub = std::path::Path::new(dir).join(&p.name);
+                match netaware::run_streamed(p, &opts, &sub) {
+                    Ok(out) => outs.push(out),
+                    Err(e) => {
+                        eprintln!("suite: streaming to {} failed: {e}", sub.display());
+                        return ExitCode::FAILURE;
+                    }
+                }
+            }
+            eprintln!("trace corpora left under {dir}/<app>/");
+            outs
+        }
+        None => run_paper_suite(&opts),
+    };
     print_all_tables(&outs);
+    print_suite_extras(&outs);
     if let Some(p) = &c.json {
         write_json(p, &outs);
     }
@@ -337,6 +423,9 @@ fn cmd_suite(c: &Common) -> ExitCode {
         );
         std::fs::write(path, md).expect("write markdown");
         eprintln!("markdown report written to {path}");
+    }
+    if !write_profile_snapshot(&opts.obs, "suite", c) {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
@@ -463,11 +552,6 @@ fn cmd_run(c: &Common) -> ExitCode {
     if !write_profile_snapshot(obs, &scenario, c) {
         return ExitCode::FAILURE;
     }
-    if obs.is_enabled() {
-        for t in obs.timings() {
-            eprintln!("timing: {:<20} {:>10.3} ms", t.name, t.elapsed_us as f64 / 1000.0);
-        }
-    }
     ExitCode::SUCCESS
 }
 
@@ -571,22 +655,38 @@ fn cmd_nextgen(c: &Common) -> ExitCode {
     let opts = opts_of(c);
     let mut profiles = AppProfile::paper_apps();
     profiles.push(AppProfile::nextgen());
+    let outs: Vec<_> = profiles.into_iter().map(|p| run_experiment(p, &opts)).collect();
     println!(
-        "{:<10} {:>10} {:>10} {:>11} {:>11}",
-        "app", "intraAS%", "transit%", "hops/byte", "continuity"
+        "{:<10} {:>9} {:>9} {:>9} {:>10} {:>11} {:>11}",
+        "app", "subnet%", "intraAS%", "intraCC%", "transit%", "hops/byte", "continuity"
     );
-    for p in profiles {
-        let out = run_experiment(p, &opts);
-        let f = &out.analysis.friendliness;
+    for o in &outs {
+        let f = &o.analysis.friendliness;
         println!(
-            "{:<10} {:>10.1} {:>10.1} {:>11.1} {:>11.3}",
-            out.app,
+            "{:<10} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>11.1} {:>11.3}",
+            o.app,
+            f.subnet_pct,
             f.intra_as_pct,
+            f.intra_cc_pct,
             f.transit_pct,
             f.mean_hops_per_byte,
-            out.report.continuity()
+            o.report.continuity()
         );
     }
+    // NAPA-NG ran last, after the three incumbents.
+    let (ng, incumbents) = outs.split_last().expect("four profiles ran");
+    let incumbent_best = incumbents
+        .iter()
+        .map(|o| o.analysis.friendliness.transit_pct)
+        .fold(f64::MAX, f64::min);
+    println!(
+        "\nNAPA-NG transit share {:.1}% vs best incumbent {:.1}% — {:.1} points of \
+         inter-AS traffic removed, at continuity {:.3}.",
+        ng.analysis.friendliness.transit_pct,
+        incumbent_best,
+        incumbent_best - ng.analysis.friendliness.transit_pct,
+        ng.report.continuity()
+    );
     ExitCode::SUCCESS
 }
 
@@ -698,12 +798,12 @@ fn cmd_export(c: &Common) -> ExitCode {
 fn cmd_analyze(c: &Common) -> ExitCode {
     // A saved corpus directory (from `export` or `run --spill`) analyses
     // in one step, streaming each probe's records straight off disk.
-    let obs = if c.profile_out.is_some() {
-        Obs::profiled()
-    } else {
-        Obs::default()
-    };
+    let obs = profile_obs(c);
     if let Some(dir) = &c.dir {
+        // The registry and the high-bandwidth probe set come from the
+        // testbed's constant address plan and Table I, which no seed,
+        // scale or population share changes. So this fixed build resolves
+        // any corpus exactly as the run that captured it did.
         let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
         let a = match netaware::analysis::analyze_corpus_with_obs(
             std::path::Path::new(dir),

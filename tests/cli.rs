@@ -162,3 +162,76 @@ fn export_then_analyze_roundtrip() {
     assert!(s.contains("packets"));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A per-process scratch directory under the system temp dir, emptied.
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("netaware_cli_{name}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Runs the CLI with `args` and asserts success; returns (stdout, stderr).
+fn run_ok(args: &[&str]) -> (String, String) {
+    let out = cli().args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{err}");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), err)
+}
+
+#[test]
+fn analyze_dir_reproduces_run_spill() {
+    // `analyze --dir` resolves every corpus against one fixed registry
+    // build. The registry is the testbed's constant address plan, so
+    // the re-analysis must equal the capturing run's byte for byte,
+    // whatever seed and scale the run used.
+    for (app, seed, scale) in [("pplive", "7", "0.05"), ("epidemic-rp", "11", "0.03")] {
+        let dir = scratch(&format!("reanalyze_{app}"));
+        let path = |f: &str| dir.join(f).to_str().unwrap().to_string();
+        let (corpus, run_json) = (path("corpus"), path("run.json"));
+        let analyze_json = path("analyze.json");
+        let run = ["run", app, "--seed", seed, "--scale", scale, "--secs", "20"];
+        run_ok(&[&run[..], &["--spill", &corpus, "--json", &run_json]].concat());
+        run_ok(&["analyze", "--dir", &corpus, "--json", &analyze_json]);
+
+        let run: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&run_json).unwrap()).unwrap();
+        let first = &run.as_seq().expect("top-level array")[0];
+        assert_eq!(
+            serde_json::to_string_pretty(first).unwrap(),
+            std::fs::read_to_string(&analyze_json).unwrap(),
+            "{app}: analyze --dir diverged from run --spill"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn suite_spill_leaves_one_corpus_per_app() {
+    let dir = scratch("suite_spill");
+    let spill = dir.to_str().unwrap();
+    let (out, _) = run_ok(&["suite", "--scale", "0.02", "--secs", "10", "--spill", spill]);
+    for block in ["TABLE IV", "HOP DISTRIBUTIONS", "NETWORK FRIENDLINESS", "[truth] TVAnts"] {
+        assert!(out.contains(block), "suite stdout lacks {block}");
+    }
+    for app in ["PPLive", "SopCast", "TVAnts"] {
+        assert!(dir.join(app).join("manifest.json").is_file(), "no corpus for {app}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn timing_lines_come_from_the_profile_only() {
+    let dir = scratch("timing");
+    let run = ["run", "tvants", "--scale", "0.02", "--secs", "10"];
+    let prof = dir.join("prof.json");
+    let (_, err) = run_ok(&[&run[..], &["--profile", prof.to_str().unwrap()]].concat());
+    assert!(err.contains("timing: testbed.run "), "{err}");
+    assert!(err.contains("timing: testbed.run/analysis.sweep "), "{err}");
+    assert!(prof.is_file());
+
+    let metrics = dir.join("metrics.json");
+    let (_, err) = run_ok(&[&run[..], &["--metrics", metrics.to_str().unwrap()]].concat());
+    assert!(!err.contains("timing:"), "--metrics alone printed timings: {err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -27,7 +27,7 @@ fn run_with_traces() -> (TraceSet, BuiltScenario) {
         },
         profile.overlay_size,
     );
-    let out = netaware::testbed::run_on_scenario(profile, &scenario, &quick_opts());
+    let out = run_experiment(profile, &quick_opts());
     (out.traces.unwrap(), scenario)
 }
 

@@ -1,7 +1,9 @@
 //! Robustness experiments: the analysis conclusions must not hinge on
 //! arbitrary testbed composition choices or on middlebox luck.
 
-use netaware::testbed::{run_on_scenario, BuiltScenario, ExperimentOptions, ScenarioConfig};
+use netaware::analysis::{analyze, AnalysisConfig, ExperimentAnalysis};
+use netaware::proto::{NetworkEnv, StreamParams, Swarm, SwarmConfig, SwarmReport};
+use netaware::testbed::{run_experiment, BuiltScenario, ExperimentOptions, ScenarioConfig};
 use netaware::AppProfile;
 
 fn opts(seed: u64) -> ExperimentOptions {
@@ -13,7 +15,14 @@ fn opts(seed: u64) -> ExperimentOptions {
     }
 }
 
-fn run_with_cn(cn_fraction: f64, profile: AppProfile, seed: u64) -> netaware::testbed::ExperimentOutput {
+/// One run on a population whose China share is `cn_fraction`. The
+/// runner always builds the default population, so this wires the
+/// swarm over the custom scenario itself.
+fn run_with_cn(
+    cn_fraction: f64,
+    profile: AppProfile,
+    seed: u64,
+) -> (ExperimentAnalysis, SwarmReport) {
     let scenario = BuiltScenario::build(
         &ScenarioConfig {
             seed,
@@ -22,7 +31,25 @@ fn run_with_cn(cn_fraction: f64, profile: AppProfile, seed: u64) -> netaware::te
         },
         profile.overlay_size,
     );
-    run_on_scenario(profile, &scenario, &opts(seed))
+    let env = NetworkEnv {
+        registry: &scenario.registry,
+        paths: scenario.paths,
+        latency: scenario.latency,
+    };
+    let cfg = SwarmConfig {
+        seed,
+        duration_us: opts(seed).duration_us,
+        stream: StreamParams::cctv1(),
+        profile,
+    };
+    let (traces, report) = Swarm::new(cfg, env, scenario.peer_setup()).run();
+    let analysis = analyze(
+        &traces,
+        &scenario.registry,
+        &AnalysisConfig::default(),
+        &scenario.highbw_probe_ips,
+    );
+    (analysis, report)
 }
 
 #[test]
@@ -30,14 +57,14 @@ fn bw_conclusion_robust_to_population_composition() {
     // Squeeze the audience geography from CN-dominant to EU-heavy: the
     // BW inference is about capacity, not geography, and must hold.
     for cn in [0.60, 0.87, 0.95] {
-        let out = run_with_cn(cn, AppProfile::sopcast(), 31);
-        let bw = out.analysis.preference("BW").unwrap();
+        let (analysis, report) = run_with_cn(cn, AppProfile::sopcast(), 31);
+        let bw = analysis.preference("BW").unwrap();
         assert!(
             bw.download_all.bytes_pct > 90.0,
             "cn={cn}: B_D(BW) = {:.1}%",
             bw.download_all.bytes_pct
         );
-        assert!(out.report.continuity() > 0.9);
+        assert!(report.continuity() > 0.9);
     }
 }
 
@@ -48,10 +75,10 @@ fn as_awareness_grows_with_local_population() {
     // probe↔probe traffic and barely moves, but the probe-excluded
     // (primed) peer share isolates the externals and must respond:
     // opportunity-weighted preference, not a profile constant.
-    let low = run_with_cn(0.95, AppProfile::tvants(), 33);
-    let high = run_with_cn(0.60, AppProfile::tvants(), 33);
-    let p_low = low.analysis.preference("AS").unwrap().download_nonw.peers_pct;
-    let p_high = high.analysis.preference("AS").unwrap().download_nonw.peers_pct;
+    let (low, _) = run_with_cn(0.95, AppProfile::tvants(), 33);
+    let (high, _) = run_with_cn(0.60, AppProfile::tvants(), 33);
+    let p_low = low.preference("AS").unwrap().download_nonw.peers_pct;
+    let p_high = high.preference("AS").unwrap().download_nonw.peers_pct;
     assert!(
         p_high > p_low,
         "P'_D(AS) with many EU peers {p_high:.2}% must exceed CN-saturated {p_low:.2}%"
@@ -63,8 +90,8 @@ fn sopcast_stays_location_blind_regardless_of_composition() {
     // SopCast's P≈B signature (no AS preference) must survive a
     // EU-heavy population — otherwise the metric would be confusing
     // opportunity with preference.
-    let out = run_with_cn(0.60, AppProfile::sopcast(), 35);
-    let a = out.analysis.preference("AS").unwrap();
+    let (analysis, _) = run_with_cn(0.60, AppProfile::sopcast(), 35);
+    let a = analysis.preference("AS").unwrap();
     let ratio = a.download_nonw.bytes_pct / a.download_nonw.peers_pct.max(0.1);
     assert!(
         (0.2..5.0).contains(&ratio),
@@ -89,7 +116,7 @@ fn firewalled_probes_upload_less() {
     );
     let mut o = opts(11);
     o.keep_traces = true;
-    let out = run_on_scenario(profile, &scenario, &o);
+    let out = run_experiment(profile, &o);
     let traces = out.traces.unwrap();
 
     let tx_of = |site: &str| -> f64 {
@@ -135,7 +162,7 @@ fn nat_probes_upload_less_than_open_ones() {
     );
     let mut o = opts(13);
     o.keep_traces = true;
-    let out = run_on_scenario(profile, &scenario, &o);
+    let out = run_experiment(profile, &o);
     let traces = out.traces.unwrap();
 
     // UniTN hosts 6–7 are NATted LANs; 1–5 are open LANs at the same site.

@@ -5,7 +5,7 @@ use netaware::analysis::flows::aggregate;
 use netaware::analysis::hopdist::hop_distribution;
 use netaware::analysis::validation::validate_bw;
 use netaware::analysis::AnalysisConfig;
-use netaware::testbed::{run_on_scenario, BuiltScenario, ExperimentOptions, ScenarioConfig};
+use netaware::testbed::{run_experiment, BuiltScenario, ExperimentOptions, ScenarioConfig};
 use netaware::AppProfile;
 
 fn run(profile: AppProfile, seed: u64) -> (BuiltScenario, netaware::trace::TraceSet) {
@@ -20,7 +20,7 @@ fn run(profile: AppProfile, seed: u64) -> (BuiltScenario, netaware::trace::Trace
         keep_traces: true,
         ..Default::default()
     };
-    let out = run_on_scenario(profile, &scenario, &opts);
+    let out = run_experiment(profile, &opts);
     (scenario, out.traces.unwrap())
 }
 
