@@ -33,7 +33,8 @@ fn scheduler_microbench(c: &mut Criterion) {
             let mut x = 0x12345u64;
             for i in 0..n {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                s.push(SimTime::from_us(s.now().as_us() + (x >> 33) % 10_000), i);
+                let at = SimTime::from_us(s.now().as_us() + (x >> 33) % 10_000);
+                s.push(at, 1, i as u32, i);
                 if i % 4 == 0 {
                     black_box(s.pop());
                 }

@@ -15,13 +15,12 @@
 //! Behaviour hooks never touch the scheduler directly. They emit typed
 //! [`BehaviourAction`]s through [`Ctx`]; the dispatcher drains the
 //! action queue in FIFO order after the hooks of one event ran, in
-//! fixed behaviour-stack order (discovery, announce, churn-recovery,
-//! scheduling, the optional epidemic push, then custom behaviours in
-//! push order). Because the
-//! scheduler breaks timestamp ties by insertion sequence, FIFO draining
-//! preserves the exact insertion order the monolithic handler produced —
-//! which is what keeps same-seed runs byte-identical across the
-//! decomposition (pinned by `tests/golden_behaviours.rs`).
+//! fixed behaviour-stack order ([`BehaviourStack::hooks`]: discovery,
+//! announce, churn-recovery, scheduling, the optional epidemic push,
+//! then custom behaviours in push order). Each drained insertion is
+//! keyed by the handled event's `(origin, oseq)` lane, and the
+//! scheduler breaks timestamp ties by that key, so same-seed runs are
+//! byte-identical (pinned by `tests/golden_behaviours.rs`).
 
 use super::state::Event;
 use super::SwarmCore;
@@ -198,5 +197,22 @@ impl BehaviourStack {
     /// actions) leaves runs byte-identical to the plain stack.
     pub fn push(&mut self, behaviour: Box<dyn Behaviour>) {
         self.custom.push(behaviour);
+    }
+
+    /// Every member in dispatch order: the four built-ins, the epidemic
+    /// push if present, then the customs in push order.
+    pub(crate) fn hooks(&mut self) -> impl Iterator<Item = &mut dyn Behaviour> {
+        let builtins: [&mut dyn Behaviour; 4] = [
+            &mut self.discovery,
+            &mut self.announce,
+            &mut self.recovery,
+            &mut self.scheduling,
+        ];
+        let epidemic = self.epidemic.iter_mut().map(|e| e as &mut dyn Behaviour);
+        let custom = self
+            .custom
+            .iter_mut()
+            .map(|b| &mut **b as &mut dyn Behaviour);
+        builtins.into_iter().chain(epidemic).chain(custom)
     }
 }

@@ -137,6 +137,10 @@ impl ChurnRecovery {
 }
 
 impl Behaviour for ChurnRecovery {
+    fn name(&self) -> &'static str {
+        "churn_recovery"
+    }
+
     /// Seeds the churn process at the start of the event loop: every
     /// external either starts offline (evicted from the bootstrap
     /// neighbor tables, arriving later) or gets a departure scheduled

@@ -4,8 +4,8 @@
 //!
 //! For every popped event the dispatcher runs the behaviour hooks in
 //! fixed stack order — discovery, announce, churn-recovery, scheduling,
-//! the optional epidemic push, then custom behaviours in push order —
-//! and only then drains the
+//! the optional epidemic push, then custom behaviours in push order;
+//! `each_hook` is the one loop that does so — and only then drains the
 //! action queue FIFO into the scheduler. Because the scheduler breaks
 //! timestamp ties by a canonical `(origin, oseq)` key assigned at
 //! insertion, this two-phase scheme inserts events in exactly the order
@@ -41,64 +41,42 @@ use netaware_trace::PayloadKind;
 use std::sync::Arc;
 
 /// Pre-registered profiler cells for the dispatch hot path: one per
-/// built-in behaviour, one per custom behaviour (labelled by
-/// [`Behaviour::name`]), one for the receiver-side transfer work, one
-/// for the action drain. When the obs handle is not profiling every
-/// cell is disabled and [`ProfCell::time`] reduces to a bare closure
-/// call, keeping the disabled path within the `obs_overhead` bench
-/// budget.
+/// stack member in [`BehaviourStack::hooks`] order (labelled
+/// `behaviour.<name>` by [`Behaviour::name`]), one for the
+/// receiver-side transfer work, one for the action drain. When the obs
+/// handle is not profiling every cell is disabled and
+/// [`ProfCell::time`] reduces to a bare closure call, keeping the
+/// disabled path within the `obs_overhead` bench budget.
 pub(crate) struct DispatchProf {
-    discovery: ProfCell,
-    announce: ProfCell,
-    recovery: ProfCell,
-    scheduling: ProfCell,
-    epidemic: ProfCell,
-    custom: Vec<ProfCell>,
+    hooks: Vec<ProfCell>,
     transfer: ProfCell,
     drain: ProfCell,
 }
 
 impl DispatchProf {
-    fn new(span: &ProfSpan, stack: &BehaviourStack) -> DispatchProf {
+    /// Cells under `span` for exactly the members of `stack`; build it
+    /// after the last custom behaviour was pushed.
+    pub(crate) fn new(span: &ProfSpan, stack: &mut BehaviourStack) -> DispatchProf {
         DispatchProf {
-            discovery: span.cell("behaviour.discovery"),
-            announce: span.cell("behaviour.announce"),
-            recovery: span.cell("behaviour.churn_recovery"),
-            scheduling: span.cell("behaviour.scheduling"),
-            epidemic: span.cell("behaviour.epidemic"),
-            custom: stack
-                .custom
-                .iter()
+            hooks: stack
+                .hooks()
                 .map(|b| span.cell(&format!("behaviour.{}", b.name())))
                 .collect(),
             transfer: span.cell("transfer.rx"),
             drain: span.cell("drain"),
         }
     }
-
-    /// All-disabled cells (unit tests drive `deliver` directly).
-    #[cfg(test)]
-    pub(crate) fn disabled() -> DispatchProf {
-        DispatchProf {
-            discovery: ProfCell::disabled(),
-            announce: ProfCell::disabled(),
-            recovery: ProfCell::disabled(),
-            scheduling: ProfCell::disabled(),
-            epidemic: ProfCell::disabled(),
-            custom: Vec::new(),
-            transfer: ProfCell::disabled(),
-            drain: ProfCell::disabled(),
-        }
-    }
 }
 
 /// Per-lane insertion counters. Each probe lane (`1 + probe_idx`) is
-/// advanced only while handling that probe's events, and the churn lane
-/// only while handling churn events, so every `(origin, oseq)` key is
-/// unique and depends only on its lane's own history.
+/// advanced only while handling that probe's events, the churn lane
+/// only while handling churn events and the init lane only during
+/// bootstrap, so every `(origin, oseq)` key is unique and depends only
+/// on its lane's own history.
 pub(crate) struct LaneSeqs {
     probe: Vec<u32>,
     churn: u32,
+    init: u32,
 }
 
 impl LaneSeqs {
@@ -106,14 +84,15 @@ impl LaneSeqs {
         LaneSeqs {
             probe: vec![0; n_probes],
             churn: 0,
+            init: 0,
         }
     }
 
     fn next(&mut self, lane: u32) -> u32 {
-        let slot = if lane == ORIGIN_CHURN {
-            &mut self.churn
-        } else {
-            &mut self.probe[lane as usize - 1]
+        let slot = match lane {
+            ORIGIN_CHURN => &mut self.churn,
+            ORIGIN_INIT => &mut self.init,
+            _ => &mut self.probe[lane as usize - 1],
         };
         let s = *slot;
         *slot = slot.wrapping_add(1);
@@ -149,66 +128,39 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
 /// dispatches until the queue runs dry or passes the horizon.
 pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon: SimTime) {
     let dspan = core.obs.pspan("swarm.dispatch");
+    let prof = DispatchProf::new(&dspan, stack);
     let mut sched: Scheduler<Event> = Scheduler::new();
+    let mut seq = LaneSeqs::new(core.n_probes);
 
     // ---- Bootstrap. ----------------------------------------------------
     // Stagger initial ticks across one tick interval so probes do not
-    // act in lockstep. All bootstrap events ride the ORIGIN_INIT lane,
-    // keyed in emission order.
-    let mut bseq = 0u32;
-    let mut push_boot = |sched: &mut Scheduler<Event>, at: SimTime, ev: Event| {
-        sched.push_keyed(at, ORIGIN_INIT, bseq, ev);
-        bseq = bseq.wrapping_add(1);
-    };
-    let tick = core.cfg.profile.tick_us;
-    for p in 0..core.n_probes {
-        let offset = core.rng.range(0..tick.max(1));
-        push_boot(&mut sched, SimTime::from_us(offset), Event::Tick(p as u32));
-        // Demand and halo processes start once the stream exists.
-        let warmup = core.cfg.stream.chunk_interval_us()
-            * (core.cfg.profile.buffer_delay_chunks as u64 + 2);
-        let d0 = warmup + core.rng.range(0..1_000_000);
-        push_boot(&mut sched, SimTime::from_us(d0), Event::Demand(p as u32));
-        if core.cfg.profile.halo_contacts_per_sec > 0.0 {
-            let h0 = core.rng.range(0..2_000_000);
-            push_boot(&mut sched, SimTime::from_us(h0), Event::Halo(p as u32));
-        }
-    }
-
-    // Start-of-run hooks (churn seeding lives here), then drain their
-    // actions so the seeded departures/arrivals enter the queue in
-    // emission order. Discover actions re-enter discovery immediately.
+    // act in lockstep. The initial processes are emitted as actions
+    // ahead of the start-of-run hooks' (churn seeding lives there), and
+    // one drain keys them all on the ORIGIN_INIT lane in emission order.
     let mut actions = Actions::default();
-    {
-        let mut ctx = Ctx {
-            core: &mut *core,
-            actions: &mut actions,
-            now: SimTime::ZERO,
-        };
-        stack.discovery.on_start(&mut ctx);
-        stack.announce.on_start(&mut ctx);
-        stack.recovery.on_start(&mut ctx);
-        stack.scheduling.on_start(&mut ctx);
-        if let Some(e) = stack.epidemic.as_mut() {
-            e.on_start(&mut ctx);
-        }
-        for b in &mut stack.custom {
-            b.on_start(&mut ctx);
-        }
-    }
-    while let Some(action) = actions.queue.pop_front() {
-        match action {
-            BehaviourAction::Schedule { at, ev } => push_boot(&mut sched, at, ev),
-            BehaviourAction::Discover { probe } => {
-                let mut ctx = Ctx {
-                    core: &mut *core,
-                    actions: &mut actions,
-                    now: SimTime::ZERO,
-                };
-                stack.discovery.try_discover(&mut ctx, probe, 0);
-            }
+    let ctx = &mut Ctx {
+        core: &mut *core,
+        actions: &mut actions,
+        now: SimTime::ZERO,
+    };
+    let profile = &ctx.core.cfg.profile;
+    let (tick, halo) = (profile.tick_us, profile.halo_contacts_per_sec > 0.0);
+    // Demand and halo processes start once the stream exists.
+    let warmup = ctx.core.cfg.stream.chunk_interval_us() * (profile.buffer_delay_chunks as u64 + 2);
+    for p in 0..ctx.core.n_probes as u32 {
+        let offset = ctx.core.rng.range(0..tick.max(1));
+        ctx.schedule(SimTime::from_us(offset), Event::Tick(p));
+        let d0 = warmup + ctx.core.rng.range(0..1_000_000);
+        ctx.schedule(SimTime::from_us(d0), Event::Demand(p));
+        if halo {
+            let h0 = ctx.core.rng.range(0..2_000_000);
+            ctx.schedule(SimTime::from_us(h0), Event::Halo(p));
         }
     }
+    each_hook(stack, &prof, ctx, |b, c| b.on_start(c));
+    let (now, lane) = (SimTime::ZERO, ORIGIN_INIT);
+    prof.drain
+        .time(|| drain(core, stack, &mut sched, &mut actions, &mut seq, now, lane));
 
     // ---- Event loop. ---------------------------------------------------
     // Obs events emitted from here on are tagged and buffered, then
@@ -223,9 +175,7 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
         buf
     });
 
-    let prof = DispatchProf::new(&dspan, stack);
-    let mut seq = LaneSeqs::new(core.n_probes);
-    sched.run_window_keyed(horizon.as_us() + 1, |sched, now, key, ev| {
+    sched.run_window(horizon.as_us() + 1, |sched, now, key, ev| {
         if let Some(sink) = &core.obs_tags.sink {
             sink.set_tag(now.as_us(), key.0, key.1);
         }
@@ -249,9 +199,8 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
     dspan.add_sim_us(horizon.as_us());
     let saturated = sched.saturated();
     if saturated > 0 {
-        // Past-time insertions were clamped to "now" (the scheduler's
-        // saturating path; `Scheduler::try_push` is the typed-error
-        // alternative). Zero on healthy runs — worth a warning when not.
+        // Past-time insertions were clamped to "now" by the scheduler.
+        // Zero on healthy runs — worth a warning when not.
         netaware_obs::event!(
             core.obs,
             Level::Warn,
@@ -259,6 +208,24 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
             horizon,
             "events" = saturated,
         );
+    }
+}
+
+/// Runs one hook on every stack member in dispatch order, each under
+/// its profiler cell. The one place the stack is broadcast to.
+fn each_hook(
+    stack: &mut BehaviourStack,
+    prof: &DispatchProf,
+    ctx: &mut Ctx<'_, '_>,
+    mut hook: impl FnMut(&mut dyn Behaviour, &mut Ctx<'_, '_>),
+) {
+    debug_assert_eq!(
+        prof.hooks.len(),
+        stack.hooks().count(),
+        "stale DispatchProf"
+    );
+    for (b, cell) in stack.hooks().zip(&prof.hooks) {
+        cell.time(|| hook(b, ctx));
     }
 }
 
@@ -279,169 +246,64 @@ pub(crate) fn deliver(
 ) {
     debug_assert!(actions.queue.is_empty(), "scratch action queue not drained");
     let lane = handler_lane(core, &ev);
-    {
-        let mut ctx = Ctx {
-            core: &mut *core,
-            actions: &mut *actions,
-            now,
-        };
-        match &ev {
-            Event::Tick(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_tick(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_tick(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_tick(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_tick(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_tick(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_tick(&mut ctx, i)),
-                        None => b.on_tick(&mut ctx, i),
-                    }
-                }
-            }
-            Event::Demand(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_demand(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_demand(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_demand(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_demand(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_demand(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_demand(&mut ctx, i)),
-                        None => b.on_demand(&mut ctx, i),
-                    }
-                }
-            }
-            Event::Halo(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_halo(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_halo(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_halo(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_halo(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_halo(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_halo(&mut ctx, i)),
-                        None => b.on_halo(&mut ctx, i),
-                    }
-                }
-            }
-            Event::Serve {
-                provider,
-                to,
-                chunk,
-                deferred,
-            } => {
-                let (provider, to, chunk, deferred) = (*provider, *to, *chunk, *deferred);
-                if !deferred && serve_preamble(&mut ctx, provider, to, chunk) {
-                    return_drain(core, stack, sched, actions, seq, now, lane, prof);
-                    return;
-                }
-                prof.discovery.time(|| stack.discovery.on_serve(&mut ctx, provider, to, chunk));
-                prof.announce.time(|| stack.announce.on_serve(&mut ctx, provider, to, chunk));
-                prof.recovery.time(|| stack.recovery.on_serve(&mut ctx, provider, to, chunk));
-                prof.scheduling.time(|| stack.scheduling.on_serve(&mut ctx, provider, to, chunk));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_serve(&mut ctx, provider, to, chunk));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_serve(&mut ctx, provider, to, chunk)),
-                        None => b.on_serve(&mut ctx, provider, to, chunk),
-                    }
-                }
-            }
-            Event::ChunkRx {
-                to,
-                from,
-                chunk,
-                train,
-            } => {
-                let (to, from, chunk) = (*to, *from, *chunk);
-                prof.transfer.time(|| {
-                    if let Some(ti) = ctx.core.probe_index(to) {
-                        ctx.core.receive_chunk_train(ctx.actions, ti, from, chunk, train);
-                    }
-                });
-            }
-            Event::SignalRx { to, from, size } => {
-                let (to, from, size) = (*to, *from, *size);
-                prof.transfer.time(|| {
-                    if let Some(ti) = ctx.core.probe_index(to) {
-                        ctx.core.receive_signal(now, from, ti, size);
-                    }
-                });
-            }
-            Event::Delivered {
-                to,
-                from,
-                chunk,
-                est_bps,
-            } => {
-                let (to, from, chunk, est_bps) = (*to, *from, *chunk, *est_bps);
-                prof.discovery.time(|| stack.discovery.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.announce.time(|| stack.announce.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.recovery.time(|| stack.recovery.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.scheduling.time(|| stack.scheduling.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_delivered(&mut ctx, to, from, chunk, est_bps)),
-                        None => b.on_delivered(&mut ctx, to, from, chunk, est_bps),
-                    }
-                }
-            }
-            Event::Depart(id) => {
-                let id = *id;
-                prof.discovery.time(|| stack.discovery.on_depart(&mut ctx, id));
-                prof.announce.time(|| stack.announce.on_depart(&mut ctx, id));
-                prof.recovery.time(|| stack.recovery.on_depart(&mut ctx, id));
-                prof.scheduling.time(|| stack.scheduling.on_depart(&mut ctx, id));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_depart(&mut ctx, id));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_depart(&mut ctx, id)),
-                        None => b.on_depart(&mut ctx, id),
-                    }
-                }
-            }
-            Event::Arrive(id) => {
-                let id = *id;
-                prof.discovery.time(|| stack.discovery.on_arrive(&mut ctx, id));
-                prof.announce.time(|| stack.announce.on_arrive(&mut ctx, id));
-                prof.recovery.time(|| stack.recovery.on_arrive(&mut ctx, id));
-                prof.scheduling.time(|| stack.scheduling.on_arrive(&mut ctx, id));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_arrive(&mut ctx, id));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_arrive(&mut ctx, id)),
-                        None => b.on_arrive(&mut ctx, id),
-                    }
-                }
+    let ctx = &mut Ctx {
+        core: &mut *core,
+        actions: &mut *actions,
+        now,
+    };
+    match &ev {
+        Event::Tick(i) => each_hook(stack, prof, ctx, |b, c| b.on_tick(c, *i as usize)),
+        Event::Demand(i) => each_hook(stack, prof, ctx, |b, c| b.on_demand(c, *i as usize)),
+        Event::Halo(i) => each_hook(stack, prof, ctx, |b, c| b.on_halo(c, *i as usize)),
+        &Event::Serve {
+            provider,
+            to,
+            chunk,
+            deferred,
+        } => {
+            if deferred || !serve_preamble(ctx, provider, to, chunk) {
+                each_hook(stack, prof, ctx, |b, c| b.on_serve(c, provider, to, chunk));
             }
         }
+        Event::ChunkRx {
+            to,
+            from,
+            chunk,
+            train,
+        } => prof.transfer.time(|| {
+            if let Some(ti) = ctx.core.probe_index(*to) {
+                ctx.core
+                    .receive_chunk_train(ctx.actions, ti, *from, *chunk, train);
+            }
+        }),
+        Event::SignalRx { to, from, size } => prof.transfer.time(|| {
+            if let Some(ti) = ctx.core.probe_index(*to) {
+                ctx.core.receive_signal(now, *from, ti, *size);
+            }
+        }),
+        &Event::Delivered {
+            to,
+            from,
+            chunk,
+            est_bps,
+        } => each_hook(stack, prof, ctx, |b, c| {
+            b.on_delivered(c, to, from, chunk, est_bps)
+        }),
+        Event::Depart(id) => each_hook(stack, prof, ctx, |b, c| b.on_depart(c, *id)),
+        Event::Arrive(id) => each_hook(stack, prof, ctx, |b, c| b.on_arrive(c, *id)),
     }
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
+    prof.drain
+        .time(|| drain(core, stack, sched, actions, seq, now, lane));
     // The dispatcher owns the protocol clock: one tick reschedules the
     // next, inserted after the drained actions (the monolithic handler
     // pushed the chunk serves first, then the tick).
     if let Event::Tick(i) = ev {
-        let oseq = seq.next(lane);
-        sched.push_keyed(now + core.cfg.profile.tick_us, lane, oseq, Event::Tick(i));
+        sched.push(
+            now + core.cfg.profile.tick_us,
+            lane,
+            seq.next(lane),
+            Event::Tick(i),
+        );
     }
 }
 
@@ -487,22 +349,6 @@ fn serve_preamble(
     }
 }
 
-/// Drain wrapper for the early-out serve path (profiled like the normal
-/// tail drain).
-#[allow(clippy::too_many_arguments)]
-fn return_drain(
-    core: &mut SwarmCore<'_>,
-    stack: &mut BehaviourStack,
-    sched: &mut Scheduler<Event>,
-    actions: &mut Actions,
-    seq: &mut LaneSeqs,
-    now: SimTime,
-    lane: u32,
-    prof: &DispatchProf,
-) {
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
-}
-
 /// Drains the action queue FIFO. `Schedule` actions become keyed
 /// scheduler insertions in emission order; `Discover` actions re-enter
 /// the discovery behaviour (which may emit further actions — the loop runs until the
@@ -521,7 +367,7 @@ fn drain(
         match action {
             BehaviourAction::Schedule { at, ev } => {
                 let oseq = seq.next(lane);
-                sched.push_keyed(at, lane, oseq, ev);
+                sched.push(at, lane, oseq, ev);
             }
             BehaviourAction::Discover { probe } => {
                 // Dead-peer replacement during churn handling: tag the

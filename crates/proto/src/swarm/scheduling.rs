@@ -190,6 +190,10 @@ impl Scheduling {
 }
 
 impl Behaviour for Scheduling {
+    fn name(&self) -> &'static str {
+        "scheduling"
+    }
+
     /// Playout bookkeeping and chunk requests.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {
         let now = ctx.now();

@@ -8,6 +8,7 @@ use netaware_net::{
     AccessClass, AccessLink, AsId, AsInfo, AsKind, CountryCode, GeoRegistry, GeoRegistryBuilder,
     Ip, LatencyModel, PathModel, Prefix,
 };
+use netaware_obs::ProfSpan;
 use netaware_trace::{Direction, PayloadKind, TraceView};
 
 fn mini_registry() -> GeoRegistry {
@@ -549,6 +550,7 @@ fn departed_provider_pending_requests_move_to_requeue() {
     {
         let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
+        let prof = dispatch::DispatchProf::new(&ProfSpan::disabled(), stack);
         dispatch::deliver(
             core,
             stack,
@@ -557,7 +559,7 @@ fn departed_provider_pending_requests_move_to_requeue() {
             &mut seq,
             netaware_sim::SimTime::from_ms(100),
             Event::Depart(provider),
-            &dispatch::DispatchProf::disabled(),
+            &prof,
         );
     }
 
@@ -757,6 +759,7 @@ fn dispatcher_runs_custom_behaviours() {
     {
         let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
+        let prof = dispatch::DispatchProf::new(&ProfSpan::disabled(), stack);
         dispatch::deliver(
             core,
             stack,
@@ -765,7 +768,7 @@ fn dispatcher_runs_custom_behaviours() {
             &mut seq,
             netaware_sim::SimTime::from_ms(100),
             Event::Tick(0),
-            &dispatch::DispatchProf::disabled(),
+            &prof,
         );
     }
     assert_eq!(ticks.load(Ordering::Relaxed), 1, "custom behaviour hook not dispatched");

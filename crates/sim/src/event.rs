@@ -4,10 +4,8 @@
 //! simulation relies on:
 //!
 //! 1. **Monotonic time** — events pop in non-decreasing timestamp
-//!    order. Scheduling in the past is refused by [`Scheduler::try_push`]
-//!    with [`SimError::SchedulePast`]; the infallible [`Scheduler::push`]
-//!    saturates the timestamp to "now" and counts the correction in
-//!    [`Scheduler::saturated`] so callers can surface the drift.
+//!    order. A push for a past time is saturated to "now" and counted
+//!    in [`Scheduler::saturated`] so callers can surface the drift.
 //! 2. **Canonical keys** — every entry carries an `(origin, oseq)`
 //!    pair and pops in `(time, origin, oseq)` order. Origins are entity
 //!    ids (probe index, or the reserved [`ORIGIN_INIT`]/[`ORIGIN_CHURN`]
@@ -16,10 +14,6 @@
 //!    entity's* history, not of global insertion order. The swarm's
 //!    golden fingerprints pin the pop order this defines (DESIGN.md,
 //!    "One serial engine").
-//! 3. **Stable ties** — entries pushed through the legacy
-//!    [`Scheduler::push`] (origin [`ORIGIN_NONE`]) tie-break in
-//!    insertion order, preserving the historical FIFO behaviour for
-//!    callers that don't attribute events to entities.
 //!
 //! Internally the queue is a ring of time buckets (a calendar queue):
 //! pushes append to their bucket unsorted, the bucket under the cursor
@@ -29,7 +23,6 @@
 //! wraps, so steady-state push/pop traffic allocates nothing once
 //! capacities have warmed up (pinned by the `CountingAlloc` tests).
 
-use crate::error::SimError;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -42,10 +35,6 @@ const SLOTS: usize = 512;
 /// finer than the tick/retry cadences that dominate the swarm workload,
 /// so a busy bucket holds a handful of events.
 const DEFAULT_WIDTH_US: u64 = 4_096;
-
-/// Origin id for unattributed pushes (the legacy [`Scheduler::push`]
-/// API). Entity origins used by the swarm dispatcher start at 1.
-pub const ORIGIN_NONE: u32 = 0;
 
 /// Reserved origin for events pushed during bootstrap, before the
 /// first event is handled.
@@ -77,8 +66,8 @@ impl<E> Entry<E> {
 /// use netaware_sim::{Scheduler, SimTime};
 ///
 /// let mut s = Scheduler::new();
-/// s.push(SimTime::from_ms(2), "later");
-/// s.push(SimTime::from_ms(1), "sooner");
+/// s.push(SimTime::from_ms(2), 1, 0, "later");
+/// s.push(SimTime::from_ms(1), 1, 1, "sooner");
 /// let (t, ev) = s.pop().unwrap();
 /// assert_eq!((t, ev), (SimTime::from_ms(1), "sooner"));
 /// assert_eq!(s.now(), SimTime::from_ms(1));
@@ -161,54 +150,18 @@ impl<E> Scheduler<E> {
         self.saturated
     }
 
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// A past `at` is corrected to "now" (time stays monotonic) and the
-    /// correction is counted in [`Scheduler::saturated`]; callers that
-    /// consider past scheduling a hard error use
-    /// [`Scheduler::try_push`] instead.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now {
-            self.saturated += 1;
-            self.now
-        } else {
-            at
-        };
-        self.insert(at, ORIGIN_NONE, 0, event);
-    }
-
-    /// Fallible [`Scheduler::push`]: refuses a past timestamp with
-    /// [`SimError::SchedulePast`] instead of saturating.
-    pub fn try_push(&mut self, at: SimTime, event: E) -> Result<(), SimError> {
-        if at < self.now {
-            return Err(SimError::SchedulePast { at, now: self.now });
-        }
-        self.insert(at, ORIGIN_NONE, 0, event);
-        Ok(())
-    }
-
     /// Schedules `event` at `at` under the canonical `(origin, oseq)`
-    /// key. The pop order among keyed entries is `(time, origin,
-    /// oseq)`; callers keep one monotone `oseq` counter per origin so
-    /// keys are globally unique. Past timestamps saturate to "now"
-    /// exactly like [`Scheduler::push`].
-    pub fn push_keyed(&mut self, at: SimTime, origin: u32, oseq: u32, event: E) {
+    /// key. The pop order is `(time, origin, oseq)`; callers keep one
+    /// monotone `oseq` counter per origin so keys are globally unique.
+    /// A past `at` is corrected to "now" (time stays monotonic) and the
+    /// correction is counted in [`Scheduler::saturated`].
+    pub fn push(&mut self, at: SimTime, origin: u32, oseq: u32, event: E) {
         let at = if at < self.now {
             self.saturated += 1;
             self.now
         } else {
             at
         };
-        self.insert(at, origin, oseq, event);
-    }
-
-    /// Schedules `event` after a relative delay in microseconds.
-    pub fn push_after(&mut self, delay_us: u64, event: E) {
-        let at = self.now + delay_us;
-        self.push(at, event);
-    }
-
-    fn insert(&mut self, at: SimTime, origin: u32, oseq: u32, event: E) {
         let at_us = at.as_us();
         let e = Entry {
             at: at_us,
@@ -326,74 +279,14 @@ impl<E> Scheduler<E> {
         Some(e)
     }
 
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `out` (cleared first, capacity reused), advancing the clock to
-    /// that timestamp. Returns the batch size (0 when empty). Handlers
-    /// that push new events *at the same timestamp* during batch
-    /// processing get them in a later batch, still in key order.
-    pub fn pop_batch(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        out.clear();
-        let Some((t, ev)) = self.pop() else {
-            return 0;
-        };
-        out.push((t, ev));
-        while self.len > 0 {
-            self.settle();
-            self.sort_current();
-            let slot = (self.cur % SLOTS as u64) as usize;
-            match self.buckets[slot].last() {
-                // Equal timestamps always share a bucket, so the batch
-                // ends as soon as the cursor bucket's minimum moves on.
-                Some(e) if e.at == t.as_us() => {
-                    let Some(pair) = self.pop() else { break };
-                    out.push(pair);
-                }
-                _ => break,
-            }
-        }
-        out.len()
-    }
-
-    /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        for k in 0..SLOTS as u64 {
-            let bi = self.cur + k;
-            let v = &self.buckets[(bi % SLOTS as u64) as usize];
-            if v.is_empty() {
-                continue;
-            }
-            let at = if bi == self.cur && self.cur_sorted {
-                v.last().map(|e| e.at)
-            } else {
-                v.iter().map(|e| e.at).min()
-            };
-            return at.map(SimTime::from_us);
-        }
-        let (_, v) = self.far.iter().next()?;
-        v.iter().map(|e| e.at).min().map(SimTime::from_us)
-    }
-
     /// Drains and handles events with timestamps strictly below
     /// `end_us`, in key order; later events stay queued and the clock
-    /// is left at the last dispatched timestamp. Returns the number of
-    /// events dispatched, with no per-event peeking.
-    pub fn run_window<F: FnMut(&mut Self, SimTime, E)>(
-        &mut self,
-        end_us: u64,
-        mut handler: F,
-    ) -> u64 {
-        self.run_window_keyed(end_us, |s, at, _key, ev| handler(s, at, ev))
-    }
-
-    /// [`Scheduler::run_window`] with the popped entry's canonical
-    /// `(origin, oseq)` key exposed to the handler. The swarm
-    /// dispatcher tags the observability events emitted while handling
-    /// an entry with that key, and replays the buffered events in tag
-    /// order after the run.
-    pub fn run_window_keyed<F: FnMut(&mut Self, SimTime, (u32, u32), E)>(
+    /// is left at the last dispatched timestamp. The handler also gets
+    /// the popped entry's `(origin, oseq)` key: the swarm dispatcher
+    /// tags the observability events emitted while handling an entry
+    /// with it, and replays the buffered events in tag order after the
+    /// run. Returns the number of events dispatched.
+    pub fn run_window<F: FnMut(&mut Self, SimTime, (u32, u32), E)>(
         &mut self,
         end_us: u64,
         mut handler: F,
@@ -420,23 +313,6 @@ impl<E> Scheduler<E> {
         }
         self.popped - start
     }
-
-    /// Drains and handles events until the queue empties or the next
-    /// event is past `horizon`; events beyond the horizon stay queued.
-    /// Returns the number of events dispatched.
-    pub fn run_until<F: FnMut(&mut Self, SimTime, E)>(
-        &mut self,
-        horizon: SimTime,
-        handler: F,
-    ) -> u64 {
-        let n = self.run_window(horizon.as_us().saturating_add(1), handler);
-        // The experiment formally ends at the horizon even if the queue
-        // drained early.
-        if self.now < horizon {
-            self.now = horizon;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -447,32 +323,22 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(30), "c");
-        s.push(SimTime::from_us(10), "a");
-        s.push(SimTime::from_us(20), "b");
+        s.push(SimTime::from_us(30), 1, 0, "c");
+        s.push(SimTime::from_us(10), 1, 1, "a");
+        s.push(SimTime::from_us(20), 1, 2, "b");
         let order: Vec<&str> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_pop_fifo() {
-        let mut s = Scheduler::new();
-        for i in 0..100 {
-            s.push(SimTime::from_us(5), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn keyed_entries_pop_in_origin_then_oseq_order() {
         let mut s = Scheduler::new();
         let t = SimTime::from_ms(3);
-        s.push_keyed(t, 7, 0, "g");
-        s.push_keyed(t, 2, 1, "b");
-        s.push_keyed(t, 2, 0, "a");
-        s.push_keyed(SimTime::from_ms(2), 9, 5, "first");
-        s.push_keyed(t, ORIGIN_CHURN, 0, "churn-last");
+        s.push(t, 7, 0, "g");
+        s.push(t, 2, 1, "b");
+        s.push(t, 2, 0, "a");
+        s.push(SimTime::from_ms(2), 9, 5, "first");
+        s.push(t, ORIGIN_CHURN, 0, "churn-last");
         let order: Vec<&str> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["first", "a", "b", "g", "churn-last"]);
     }
@@ -480,162 +346,98 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(2), ());
+        s.push(SimTime::from_ms(2), 1, 0, ());
         assert_eq!(s.now(), SimTime::ZERO);
         s.pop();
         assert_eq!(s.now(), SimTime::from_ms(2));
     }
 
     #[test]
-    fn push_after_is_relative_to_now() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(5), 1);
-        s.pop();
-        s.push_after(1_000, 2);
-        let (t, _) = s.pop().unwrap();
-        assert_eq!(t, SimTime::from_ms(6));
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut s = Scheduler::new();
-        for i in 1..=10u64 {
-            s.push(SimTime::from_ms(i), i);
-        }
-        let mut seen = Vec::new();
-        let n = s.run_until(SimTime::from_ms(5), |_, _, e| seen.push(e));
-        assert_eq!(n, 5);
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.now(), SimTime::from_ms(5));
-    }
-
-    #[test]
-    fn run_until_lets_handler_reschedule() {
+    fn run_window_lets_handler_reschedule() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.push(SimTime::from_ms(1), 0);
+        s.push(SimTime::from_ms(1), 1, 0, 0);
         let mut count = 0;
-        s.run_until(SimTime::from_ms(10), |sched, _, gen| {
+        s.run_window(SimTime::from_ms(10).as_us() + 1, |sched, now, _, gen| {
             count += 1;
             if gen < 100 {
-                sched.push_after(1_000, gen + 1);
+                sched.push(now + 1_000, 1, gen + 1, gen + 1);
             }
         });
         assert_eq!(count, 10); // 1ms..10ms inclusive
         assert_eq!(s.now(), SimTime::from_ms(10));
-    }
-
-    #[test]
-    fn run_until_advances_clock_to_horizon_when_drained() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.push(SimTime::from_ms(1), ());
-        s.run_until(SimTime::from_secs(60), |_, _, _| {});
-        assert_eq!(s.now(), SimTime::from_secs(60));
-        assert!(s.is_empty());
+        assert_eq!(s.len(), 1, "the 11 ms event stays queued");
     }
 
     #[test]
     fn run_window_is_strictly_exclusive() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(999), 1);
-        s.push(SimTime::from_us(1_000), 2);
-        s.push(SimTime::from_us(1_001), 3);
+        s.push(SimTime::from_us(999), 1, 0, 1);
+        s.push(SimTime::from_us(1_000), 1, 1, 2);
+        s.push(SimTime::from_us(1_001), 1, 2, 3);
         let mut seen = Vec::new();
-        let n = s.run_window(1_000, |_, _, e| seen.push(e));
+        let n = s.run_window(1_000, |_, _, _, e| seen.push(e));
         assert_eq!(n, 1);
         assert_eq!(seen, vec![1]);
         assert_eq!(s.len(), 2);
         // A later window picks up exactly where the first stopped.
-        s.run_window(2_000, |_, _, e| seen.push(e));
+        s.run_window(2_000, |_, _, _, e| seen.push(e));
         assert_eq!(seen, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn run_window_hands_the_handler_each_key() {
+        let mut s = Scheduler::new();
+        s.push(SimTime::from_us(5), 3, 1, ());
+        s.push(SimTime::from_us(5), ORIGIN_INIT, 0, ());
+        s.push(SimTime::from_us(5), 3, 0, ());
+        let mut keys = Vec::new();
+        s.run_window(6, |_, _, key, _| keys.push(key));
+        assert_eq!(keys, vec![(3, 0), (3, 1), (ORIGIN_INIT, 0)]);
     }
 
     #[test]
     fn dispatched_counter() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(1), ());
-        s.push(SimTime::from_us(2), ());
+        s.push(SimTime::from_us(1), 1, 0, ());
+        s.push(SimTime::from_us(2), 1, 1, ());
         s.pop();
         s.pop();
         assert_eq!(s.dispatched(), 2);
     }
 
     #[test]
-    fn try_push_refuses_past_times() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(10), 1);
-        s.pop();
-        let err = s.try_push(SimTime::from_ms(5), 2).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::SchedulePast {
-                at: SimTime::from_ms(5),
-                now: SimTime::from_ms(10),
-            }
-        );
-        assert!(s.is_empty(), "refused event must not be queued");
-        assert_eq!(s.saturated(), 0, "try_push never saturates");
-        // At or after "now" is fine.
-        assert!(s.try_push(SimTime::from_ms(10), 3).is_ok());
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn push_saturates_past_times_and_counts() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(10), 1);
+        s.push(SimTime::from_ms(10), 1, 0, 1);
         s.pop();
-        s.push(SimTime::from_ms(5), 2);
+        s.push(SimTime::from_ms(5), 1, 1, 2);
         assert_eq!(s.saturated(), 1);
         let (t, ev) = s.pop().unwrap();
-        assert_eq!((t, ev), (SimTime::from_ms(10), 2), "fires at now, not in the past");
-        s.push_keyed(SimTime::from_ms(3), 4, 0, 3);
+        assert_eq!(
+            (t, ev),
+            (SimTime::from_ms(10), 2),
+            "fires at now, not in the past"
+        );
+        s.push(SimTime::from_ms(3), 4, 0, 3);
         assert_eq!(s.saturated(), 2);
         assert_eq!(s.pop().unwrap().0, SimTime::from_ms(10));
-    }
-
-    #[test]
-    fn pop_batch_drains_one_timestamp() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(1), 10);
-        s.push(SimTime::from_ms(1), 11);
-        s.push(SimTime::from_ms(2), 20);
-        let mut buf = Vec::new();
-        assert_eq!(s.pop_batch(&mut buf), 2);
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_ms(1), 10), (SimTime::from_ms(1), 11)]
-        );
-        assert_eq!(s.pop_batch(&mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_ms(2), 20)]);
-        assert_eq!(s.pop_batch(&mut buf), 0);
-        assert!(buf.is_empty());
+        // At "now" is not in the past.
+        s.push(SimTime::from_ms(10), 4, 1, 4);
+        assert_eq!(s.saturated(), 2);
     }
 
     #[test]
     fn far_future_events_cross_the_ring_window() {
         // Narrow buckets so the ring spans only SLOTS µs.
         let mut s = Scheduler::with_granularity(1);
-        s.push(SimTime::from_us(3), "near");
-        s.push(SimTime::from_secs(600), "halo"); // far beyond the ring
-        s.push(SimTime::from_us(700), "mid");
+        s.push(SimTime::from_us(3), 1, 0, "near");
+        s.push(SimTime::from_secs(600), 1, 1, "halo"); // far beyond the ring
+        s.push(SimTime::from_us(700), 1, 2, "mid");
         assert_eq!(s.pop().unwrap().1, "near");
         assert_eq!(s.pop().unwrap().1, "mid");
         assert_eq!(s.pop().unwrap().1, "halo");
         assert_eq!(s.now(), SimTime::from_secs(600));
         assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_sees_ring_and_far_entries() {
-        let mut s = Scheduler::with_granularity(1);
-        assert_eq!(s.peek_time(), None);
-        s.push(SimTime::from_secs(60), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(60)));
-        s.push(SimTime::from_us(5), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_us(5)));
-        s.pop();
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(60)));
     }
 
     /// The calendar queue must pop in exactly the reference order — a
@@ -662,7 +464,7 @@ mod tests {
                         };
                     let origin = rng.range(1u32..6);
                     let oseq = step as u32; // unique per push
-                    s.push_keyed(SimTime::from_us(at), origin, oseq, step);
+                    s.push(SimTime::from_us(at), origin, oseq, step);
                     reference.push((at, origin, oseq, u64::MAX, step));
                 } else {
                     reference.sort_unstable();
@@ -689,11 +491,11 @@ mod tests {
     #[test]
     fn pushes_into_sorted_cursor_bucket_stay_ordered() {
         let mut s = Scheduler::with_granularity(1_000);
-        s.push_keyed(SimTime::from_us(100), 1, 0, "a");
-        s.push_keyed(SimTime::from_us(500), 1, 1, "d");
+        s.push(SimTime::from_us(100), 1, 0, "a");
+        s.push(SimTime::from_us(500), 1, 1, "d");
         assert_eq!(s.pop().unwrap().1, "a"); // sorts the cursor bucket
-        s.push_keyed(SimTime::from_us(300), 2, 0, "b");
-        s.push_keyed(SimTime::from_us(300), 3, 0, "c");
+        s.push(SimTime::from_us(300), 2, 0, "b");
+        s.push(SimTime::from_us(300), 3, 0, "c");
         assert_eq!(s.pop().unwrap().1, "b");
         assert_eq!(s.pop().unwrap().1, "c");
         assert_eq!(s.pop().unwrap().1, "d");

@@ -12,8 +12,9 @@ fn vec_of<T>(rng: &mut DetRng, max_len: usize, mut f: impl FnMut(&mut DetRng) ->
     (0..n).map(|_| f(rng)).collect()
 }
 
-/// The scheduler pops every event exactly once, in (time, insertion)
-/// order — equivalent to a stable sort.
+/// The scheduler pops every event exactly once, in (time, key) order.
+/// With one origin and the push index as `oseq` that is (time,
+/// insertion) order — equivalent to a stable sort.
 #[test]
 fn scheduler_is_a_stable_sort() {
     let mut rng = DetRng::stream(0xD15EA5E, "sim/scheduler_stable_sort");
@@ -21,7 +22,7 @@ fn scheduler_is_a_stable_sort() {
         let times = vec_of(&mut rng, 200, |r| r.range(0..10_000u64));
         let mut s = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
-            s.push(SimTime::from_us(t), i);
+            s.push(SimTime::from_us(t), 1, i as u32, i);
         }
         let mut popped = Vec::new();
         while let Some((t, idx)) = s.pop() {
@@ -34,22 +35,23 @@ fn scheduler_is_a_stable_sort() {
     }
 }
 
-/// run_until dispatches exactly the events at or before the horizon.
+/// A window ending just past the horizon dispatches exactly the events
+/// at or before it, and leaves the clock no later than the horizon.
 #[test]
-fn run_until_partitions_by_horizon() {
+fn run_window_partitions_by_horizon() {
     let mut rng = DetRng::stream(0xD15EA5E, "sim/run_until_partitions");
     for _ in 0..CASES {
         let times = vec_of(&mut rng, 200, |r| r.range(0..10_000u64));
         let horizon: u64 = rng.range(0..10_000u64);
         let mut s = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
-            s.push(SimTime::from_us(t), i);
+            s.push(SimTime::from_us(t), 1, i as u32, i);
         }
         let mut seen = Vec::new();
-        s.run_until(SimTime::from_us(horizon), |_, t, _| seen.push(t.as_us()));
+        s.run_window(horizon + 1, |_, t, _, _| seen.push(t.as_us()));
         assert_eq!(seen.len(), times.iter().filter(|&&t| t <= horizon).count());
         assert_eq!(s.len(), times.iter().filter(|&&t| t > horizon).count());
-        assert!(s.now() >= SimTime::from_us(horizon));
+        assert!(s.now() <= SimTime::from_us(horizon));
     }
 }
 

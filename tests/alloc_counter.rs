@@ -110,8 +110,8 @@ impl Drop for Measuring {
 #[test]
 fn scheduler_steady_state_allocates_nothing() {
     let _measuring = measuring();
-    // The calendar-queue scheduler recycles popped slots through its
-    // free slab, so once the bucket wheel and slab are warm, push/pop
+    // The calendar-queue scheduler reuses its ring buckets' capacity as
+    // the ring wraps, so once the bucket wheel is warm, push/pop
     // traffic must be allocation-free — an exact zero delta, not a
     // bound.
     // Bucket width 16 µs × 512 ring slots = an 8 192 µs window; the
@@ -125,7 +125,8 @@ fn scheduler_steady_state_allocates_nothing() {
         let mut x = 0x9e3779b97f4a7c15u64;
         for i in 0..20_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s.push(SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000), i);
+            let at = SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000);
+            s.push(at, 1, i as u32, i);
             if i % 2 == 0 {
                 s.pop();
             }
@@ -134,10 +135,10 @@ fn scheduler_steady_state_allocates_nothing() {
         // Re-align the clock to a wheel boundary so the next phase maps
         // onto the same ring slots.
         let aligned = s.now().as_us().div_ceil(WINDOW) * WINDOW;
-        s.push(SimTime::from_us(aligned), u64::MAX);
+        s.push(SimTime::from_us(aligned), 2, 0, u64::MAX);
         s.pop();
     };
-    // Warm-up: grow the wheel and slab to the phase's exact footprint.
+    // Warm-up: grow the wheel to the phase's exact footprint.
     phase(&mut s);
 
     let before = snapshot();

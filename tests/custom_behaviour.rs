@@ -6,14 +6,18 @@
 //!    byte-identical to the plain built-in stack, and
 //! 2. an acting behaviour (scheduling events through `Ctx`) genuinely
 //!    steers the protocol — the run diverges.
+//!
+//! A behaviour that schedules into the past also shows the scheduler's
+//! saturate-and-count path: the run completes and warns once.
 
+use netaware::obs::{EventSink, FieldValue, Level, RingSink};
 use netaware::proto::{
     Behaviour, ChunkId, Ctx, Event, NetworkEnv, PeerId, StreamParams, Swarm, SwarmConfig,
     SwarmReport,
 };
-use netaware::testbed::{BuiltScenario, ScenarioConfig};
-use netaware::AppProfile;
 use netaware::sim::SimTime;
+use netaware::testbed::{BuiltScenario, ScenarioConfig};
+use netaware::{AppProfile, Obs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,8 +50,34 @@ impl Behaviour for ExtraHalo {
     }
 }
 
+/// How many past-time pushes [`PastHalo`] makes.
+const PAST_PUSHES: u64 = 3;
+
+/// Acting behaviour that schedules into the past: on each of the first
+/// [`PAST_PUSHES`] ticks after time zero it asks for a halo contact at
+/// time zero.
+struct PastHalo {
+    pushes: Arc<AtomicU64>,
+}
+
+impl Behaviour for PastHalo {
+    fn on_tick(&mut self, ctx: &mut Ctx, i: usize) {
+        if ctx.now() > SimTime::ZERO && self.pushes.load(Ordering::Relaxed) < PAST_PUSHES {
+            ctx.schedule(SimTime::ZERO, Event::Halo(i as u32));
+            self.pushes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 fn run_with(
     behaviour: Option<Box<dyn Behaviour>>,
+) -> (netaware::trace::TraceSet, SwarmReport) {
+    run_observed(behaviour, Obs::default())
+}
+
+fn run_observed(
+    behaviour: Option<Box<dyn Behaviour>>,
+    obs: Obs,
 ) -> (netaware::trace::TraceSet, SwarmReport) {
     let profile = AppProfile::sopcast();
     let scenario = BuiltScenario::build(
@@ -70,6 +100,7 @@ fn run_with(
         profile,
     };
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
+    swarm.set_obs(obs);
     if let Some(b) = behaviour {
         swarm.push_behaviour(b);
     }
@@ -111,5 +142,31 @@ fn acting_behaviour_steers_the_run() {
         modified.total_packets(),
         plain.total_packets(),
         "injected halo process left no trace"
+    );
+}
+
+#[test]
+fn past_pushes_saturate_and_warn_once() {
+    let pushes = Arc::new(AtomicU64::new(0));
+    let sink = Arc::new(RingSink::new(1 << 20));
+    let obs = Obs::new(sink.clone() as Arc<dyn EventSink>);
+    let (_, report) = run_observed(
+        Some(Box::new(PastHalo {
+            pushes: pushes.clone(),
+        })),
+        obs,
+    );
+    assert_eq!(pushes.load(Ordering::Relaxed), PAST_PUSHES);
+    assert!(report.chunks_delivered > 0, "run did not complete");
+    let warns: Vec<_> = sink
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.target == "swarm.schedule_saturated")
+        .collect();
+    assert_eq!(warns.len(), 1, "expected exactly one saturation warning");
+    assert_eq!(warns[0].level, Level::Warn);
+    assert_eq!(
+        warns[0].fields,
+        vec![("events", FieldValue::U64(PAST_PUSHES))]
     );
 }
